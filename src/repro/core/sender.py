@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,6 +42,12 @@ from .window_estimator import WindowEstimator
 SLOW_START = "slow_start"
 NORMAL = "normal"
 RECOVERY = "recovery"
+
+#: How far past the first hole one acknowledgement arms §5.2 reordering
+#: timers.  The paper arms a timer for every missing sequence; a sequence
+#: more than this many positions past ``_next_expected`` gets its timer
+#: only once the hole below it closes far enough to bring it in range.
+GAP_SCAN_LIMIT = 4096
 
 
 @dataclass(slots=True)
@@ -107,6 +114,13 @@ class VerusSender(SenderProtocol):
         self._next_expected = 0
         self._inflight: Dict[int, SentRecord] = {}
         self._miss_heap: List[Tuple[float, int]] = []
+        # Incremental §5.2 arming.  Every in-flight sequence below
+        # ``_armed_upto`` (the highest scan bound reached so far) either
+        # holds a miss deadline or sits in ``_disarmed``, the min-heap of
+        # sequences whose deadline ``_queue_retransmission`` cleared, so
+        # each ACK scans only the sequences no earlier ACK has reached.
+        self._armed_upto = 0
+        self._disarmed: List[int] = []
         # Declared-lost sequences waiting for a retransmission slot.
         # Retransmissions consume the regular send budget (they occupy
         # window space, as in TCP) instead of being blasted out at once.
@@ -281,17 +295,33 @@ class VerusSender(SenderProtocol):
             self._next_expected += 1
 
     def _arm_gap_timers(self, acked_seq: int) -> None:
-        """§5.2: every missing sequence gets a 3×delay reordering timer."""
-        if acked_seq <= self._next_expected:
+        """§5.2: every missing sequence gets a 3×delay reordering timer.
+
+        Arms every in-flight sequence in ``[_next_expected, upper)``
+        without a deadline, at amortised O(1) per ACK: sequences below
+        the ``_armed_upto`` watermark were armed by an earlier ACK unless
+        they are in ``_disarmed``, so only those and the span above the
+        watermark need visiting.
+        """
+        next_expected = self._next_expected
+        if acked_seq <= next_expected:
             return
         timeout = self.config.loss_timeout_factor * self.delay_estimator.rtt()
         deadline = self.now + timeout
-        upper = min(acked_seq, self._next_expected + 4096)
-        for seq in range(self._next_expected, upper):
-            record = self._inflight.get(seq)
+        upper = min(acked_seq, next_expected + GAP_SCAN_LIMIT)
+        disarmed = self._disarmed
+        rearm = []
+        while disarmed and disarmed[0] < upper:
+            rearm.append(heapq.heappop(disarmed))
+        start = max(next_expected, self._armed_upto)
+        self._armed_upto = max(self._armed_upto, upper)
+        inflight = self._inflight
+        miss_heap = self._miss_heap
+        for seq in chain(rearm, range(start, upper)):
+            record = inflight.get(seq)
             if record is not None and record.miss_deadline is None:
                 record.miss_deadline = deadline
-                heapq.heappush(self._miss_heap, (deadline, seq))
+                heapq.heappush(miss_heap, (deadline, seq))
 
     def _compact_miss_heap(self) -> None:
         """Drop stale miss-heap entries (acknowledged or re-armed seqs).
@@ -336,6 +366,7 @@ class VerusSender(SenderProtocol):
             self._pending_rtx.add(seq)
             self._rtx_queue.append(seq)
             self._inflight[seq].miss_deadline = None
+            heapq.heappush(self._disarmed, seq)
 
     def _declare_loss(self, record: SentRecord) -> None:
         self.losses_detected += 1
@@ -544,7 +575,7 @@ class VerusSender(SenderProtocol):
         self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
         self._last_progress = self.now
         # Collapse and probe, TCP-style.
-        oldest = min(self._inflight)
+        oldest = self._next_expected  # == min(self._inflight)
         w_loss = self.window
         if not self.loss_handler.in_recovery:
             self.window = self.loss_handler.on_loss(w_loss)

@@ -12,16 +12,26 @@ Events, corpses or compaction.
 The slotted :class:`Packet` and its acknowledgement freelist get the same
 treatment: for arbitrary field values and arbitrary acquire/release
 sequences, a pooled ACK must be indistinguishable from a fresh one.
+
+The Verus sender's incremental §5.2 gap-timer arming (a high-water mark
+plus a heap of disarmed sequences) is checked against the full rescan it
+replaced: for arbitrary interleavings of sends, in-order, out-of-order
+and batched ACKs, clock advances, queued retransmissions and RTOs, both
+must arm the same deadlines and hold the same miss-heap entries.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import sender as sender_module
+from repro.core.sender import VerusSender
 from repro.netsim import ACK_BYTES, Packet, PacketPool
 from repro.netsim.engine import SimulationError, Simulator
 
@@ -240,3 +250,134 @@ class TestPooledAckEquivalence:
             raise AssertionError("Packet must be unhashable")
         except TypeError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Verus §5.2 gap timers: incremental arming vs the full rescan
+# ---------------------------------------------------------------------------
+class FullRescanSender(VerusSender):
+    """Reference: §5.2 arming as a rescan of the whole hole on every ACK,
+    from ``_next_expected`` up to the acknowledged sequence, capped at
+    ``limit`` positions."""
+
+    def __init__(self, flow_id: int, limit: int):
+        super().__init__(flow_id)
+        self.limit = limit
+
+    def _arm_gap_timers(self, acked_seq: int) -> None:
+        if acked_seq <= self._next_expected:
+            return
+        timeout = self.config.loss_timeout_factor * self.delay_estimator.rtt()
+        deadline = self.now + timeout
+        upper = min(acked_seq, self._next_expected + self.limit)
+        for seq in range(self._next_expected, upper):
+            record = self._inflight.get(seq)
+            if record is not None and record.miss_deadline is None:
+                record.miss_deadline = deadline
+                heapq.heappush(self._miss_heap, (deadline, seq))
+
+
+_PICK = st.integers(min_value=0, max_value=1000)
+
+_SENDER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("transmit"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("send_next"), st.just(0)),
+        st.tuples(st.just("ack_in_order"), st.just(0)),
+        # Acknowledge the k-th outstanding sequence (mod count): mostly
+        # out of order, occasionally the head.
+        st.tuples(st.just("ack"), _PICK),
+        st.tuples(st.just("ack_batch"), st.lists(_PICK, min_size=1,
+                                                 max_size=6)),
+        # Advance the clock (epoch ticks fire) and sweep expired timers.
+        st.tuples(st.just("advance"),
+                  st.integers(min_value=0, max_value=40).map(
+                      lambda k: k * 0.005)),
+        st.tuples(st.just("queue_rtx"), _PICK),
+        # Queue the sequence k past the first hole: with a small scan
+        # limit this lands on and around the cap boundary.
+        st.tuples(st.just("queue_rtx_near"),
+                  st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("rto"), st.just(0)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def _attached(sender: VerusSender):
+    sim = Simulator()
+    sent = []
+    sender.attach(sim, lambda packet: sent.append(
+        (packet.seq, packet.retransmission, packet.sent_time)))
+    sender.start()
+    return sim, sent
+
+
+def _ack(now: float, seqs) -> Packet:
+    ack = Packet(flow_id=0, seq=seqs[-1], is_ack=True, ack_seq=seqs[-1],
+                 sent_time=now)
+    if len(seqs) > 1:
+        ack.payload = {"acked": list(seqs)}
+    return ack
+
+
+class TestIncrementalGapTimersMatchFullRescan:
+    @given(ops=_SENDER_OPS, limit=st.sampled_from(
+        [2, 5, 16, sender_module.GAP_SCAN_LIMIT]))
+    # A queued retransmission inside an already-scanned hole must be
+    # re-armed by the next out-of-order ACK ...
+    @example(ops=[("transmit", 8), ("ack", 5), ("queue_rtx", 0),
+                  ("ack", 6)], limit=16)
+    # ... but not when it sits exactly at the scan limit.
+    @example(ops=[("transmit", 8), ("ack", 5), ("queue_rtx_near", 2),
+                  ("ack", 5)], limit=2)
+    @settings(max_examples=300, deadline=None)
+    def test_interleavings_match_full_rescan(self, ops, limit):
+        with mock.patch.object(sender_module, "GAP_SCAN_LIMIT", limit):
+            fast, ref = VerusSender(0), FullRescanSender(0, limit)
+            pairs = [_attached(fast), _attached(ref)]
+            for kind, value in ops:
+                outstanding = sorted(fast._inflight)
+                for sender, (sim, _) in zip((fast, ref), pairs):
+                    if kind == "transmit":
+                        for _ in range(value):
+                            sender._transmit_new()
+                    elif kind == "send_next":
+                        sender._send_next()
+                    elif kind == "ack_in_order":
+                        sender.on_ack(_ack(sim.now,
+                                           [sender._next_expected]))
+                    elif kind == "ack" and outstanding:
+                        seq = outstanding[value % len(outstanding)]
+                        sender.on_ack(_ack(sim.now, [seq]))
+                    elif kind == "ack_batch" and outstanding:
+                        sender.on_ack(_ack(sim.now, [
+                            outstanding[k % len(outstanding)]
+                            for k in value]))
+                    elif kind == "advance":
+                        sim.run(until=sim.now + value)
+                        sender._check_missing()
+                    elif kind == "queue_rtx" and outstanding:
+                        sender._queue_retransmission(
+                            outstanding[value % len(outstanding)])
+                    elif kind == "queue_rtx_near":
+                        sender._queue_retransmission(
+                            sender._next_expected + value)
+                    elif kind == "rto":
+                        sender._last_progress = -math.inf
+                        sender._check_rto()
+
+                assert ({seq: rec.miss_deadline
+                         for seq, rec in fast._inflight.items()}
+                        == {seq: rec.miss_deadline
+                            for seq, rec in ref._inflight.items()})
+                # Corpses included: compaction is triggered by the heap's
+                # length, so the whole multiset must agree, not just the
+                # live entries.
+                assert sorted(fast._miss_heap) == sorted(ref._miss_heap)
+                assert pairs[0][1] == pairs[1][1]  # same packets sent
+                assert fast.losses_detected == ref.losses_detected
+                assert fast.mode == ref.mode
+                if fast._inflight:
+                    # _check_rto relies on this to find the oldest packet.
+                    assert min(fast._inflight) == fast._next_expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import NORMAL, RECOVERY, SLOW_START, VerusConfig, VerusReceiver, VerusSender
+from repro.core.sender import GAP_SCAN_LIMIT
 from repro.netsim import DelayLine, DropTailQueue, Link, Packet, Simulator
 
 
@@ -56,6 +57,40 @@ class TestGapTimers:
         sender._check_missing()
         assert sender.losses_detected == losses_before + 1
         assert base in sender._pending_rtx
+
+    def test_gap_wider_than_scan_limit_arms_only_the_first_limit(self):
+        """§5.2 arms every missing sequence, but one ACK reaches at most
+        GAP_SCAN_LIMIT positions past the first hole; sequences beyond it
+        get their timer only as the hole closes and a later out-of-order
+        ACK brings them in range."""
+        sender = VerusSender(0)
+        sim = Simulator()
+        sender.attach(sim, lambda packet: None)
+        sender.running = True
+        sender.mode = NORMAL
+        for _ in range(GAP_SCAN_LIMIT + 10):
+            sender._transmit_new()
+
+        def ack(seq):
+            sender.on_ack(Packet(flow_id=0, seq=seq, is_ack=True,
+                                 ack_seq=seq, sent_time=sim.now))
+
+        def armed():
+            return {seq for seq, record in sender._inflight.items()
+                    if record.miss_deadline is not None}
+
+        ack(GAP_SCAN_LIMIT + 5)
+        assert armed() == set(range(GAP_SCAN_LIMIT))
+        assert len(sender._miss_heap) == GAP_SCAN_LIMIT
+        # Closing the first hole is an in-order ACK and arms nothing.
+        ack(0)
+        assert armed() == set(range(1, GAP_SCAN_LIMIT))
+        # The next out-of-order ACK reaches one sequence further.
+        sim.run(until=0.5)
+        ack(GAP_SCAN_LIMIT + 6)
+        assert armed() == set(range(1, GAP_SCAN_LIMIT + 1))
+        assert (sender._inflight[GAP_SCAN_LIMIT].miss_deadline
+                > sender._inflight[1].miss_deadline)
 
     def test_acked_packet_cancels_pending_rtx(self):
         sender = VerusSender(0)
