@@ -240,7 +240,7 @@ def _load_task_trace(spec: "TaskSpec") -> np.ndarray:
     Refuses content that does not match ``trace_sha256`` — a cached
     result must never be attributed to a trace that has since changed.
     """
-    from ..traces.corpus import trace_sha256
+    from ..traces.corpus import read_pinned_ms
     from ..traces.formats import read_trace_ms
 
     memo_key = (spec.trace_file, spec.trace_sha256)
@@ -250,9 +250,11 @@ def _load_task_trace(spec: "TaskSpec") -> np.ndarray:
         # Copy so no simulation ever aliases the memoized array.
         return entry[1].copy()
     _TRACE_MEMO.pop(memo_key, None)
-    times_ms = read_trace_ms(spec.trace_file, fmt="mahimahi")
-    if spec.trace_sha256 is not None:
-        digest = trace_sha256(times_ms)
+    if spec.trace_sha256 is None:
+        times_ms = read_trace_ms(spec.trace_file, fmt="mahimahi")
+    else:
+        times_ms, digest = read_pinned_ms(spec.trace_file,
+                                          spec.trace_sha256)
         if digest != spec.trace_sha256:
             raise ValueError(
                 f"trace {spec.trace_file} hashes to {digest[:12]}, task "

@@ -26,12 +26,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..cellular.trace_io import TraceFormatError
-from .formats import read_trace_ms, validate_ms
+from .formats import encode_mahimahi, read_trace_ms, validate_ms
 from .stats import characterize
 from .synth import SynthSpec
 
@@ -60,12 +60,73 @@ CORPUS_PRESETS: Dict[str, List[SynthSpec]] = {
 def encode_canonical(times_ms: np.ndarray) -> bytes:
     """The canonical byte encoding a trace is content-addressed by:
     its mahimahi text file, one integer millisecond per line."""
-    arr = validate_ms(times_ms)
-    return ("\n".join(str(int(v)) for v in arr) + "\n").encode("ascii")
+    return encode_mahimahi(times_ms)
 
 
 def trace_sha256(times_ms: np.ndarray) -> str:
     return hashlib.sha256(encode_canonical(times_ms)).hexdigest()
+
+
+#: ``10**1 .. 10**18``: for ``0 <= v < 10**18``, ``searchsorted(_POW10,
+#: v, "right") + 1`` is the number of decimal digits of ``v``.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _parse_canonical(data: bytes) -> Optional[np.ndarray]:
+    """The trace ``data`` encodes if it is already in canonical form
+    (``encode_canonical`` of that trace reproduces ``data`` byte for
+    byte), else ``None``.
+
+    Canonical means digits and ``\\n`` only, newline-terminated, no
+    blank line, no leading zero, sorted.  ``np.fromstring`` skips blank
+    lines and leading zeros, so they are caught by length: the bytes
+    must be exactly the values' digit counts plus one newline each.  An
+    input without any digit would parse as ``[0]``, hence the first-byte
+    test; values from ``10**18`` up are left to the strict reader, since
+    ``np.fromstring`` saturates at the int64 limit instead of failing.
+    """
+    if data == b"\n":
+        return np.empty(0, dtype=np.int64)
+    if not data.endswith(b"\n") or data.startswith(b"\n") \
+            or data.translate(None, b"0123456789\n"):
+        return None
+    arr = np.fromstring(data, dtype=np.int64, sep="\n")
+    if np.any(np.diff(arr) < 0) or arr[-1] >= _POW10[-1]:
+        return None
+    digits = int(np.searchsorted(_POW10, arr, side="right").sum())
+    if digits + 2 * arr.size != len(data):
+        return None
+    return arr
+
+
+def read_pinned_ms(path: PathLike, sha256: str) -> Tuple[np.ndarray, str]:
+    """Read a mahimahi trace that is pinned to a content hash.
+
+    Returns ``(times_ms, digest)`` exactly as ``read_trace_ms(path,
+    "mahimahi")`` and ``trace_sha256`` of its result would -- the same
+    arrays, the same ``TraceFormatError`` for an unreadable file -- and
+    leaves comparing ``digest`` with ``sha256`` to the caller.  A file
+    whose raw bytes hash to ``sha256`` and are already canonical is
+    parsed in one numpy pass; every other file takes the strict path.
+    """
+    data = Path(path).read_bytes()
+    if hashlib.sha256(data).hexdigest() == sha256:
+        times_ms = _parse_canonical(data)
+        if times_ms is not None:
+            return times_ms, sha256
+    times_ms = read_trace_ms(path, fmt="mahimahi")
+    return times_ms, trace_sha256(times_ms)
+
+
+def _file_matches(path: Path, sha256: str) -> bool:
+    """Whether ``path`` exists and holds a readable trace hashing to
+    ``sha256``."""
+    if not path.exists():
+        return False
+    try:
+        return read_pinned_ms(path, sha256)[1] == sha256
+    except TraceFormatError:
+        return False
 
 
 def sha256_file(path: PathLike) -> str:
@@ -172,24 +233,23 @@ class Corpus:
         entry = self.entry(name)
         path = self.trace_path(name)
         if not path.exists():
-            times_ms = self.regenerate_ms(name)
-            _atomic_write_bytes(path, encode_canonical(times_ms))
-            return times_ms
-        times_ms = read_trace_ms(path, fmt="mahimahi")
-        if verify:
-            digest = trace_sha256(times_ms)
-            if digest != entry.sha256:
-                raise CorpusError(
-                    f"corpus {self.root}: trace {name!r} content hash "
-                    f"{digest[:12]} does not match manifest "
-                    f"{entry.sha256[:12]} — file modified or corrupt")
+            return self._restore(name)
+        if not verify:
+            return read_trace_ms(path, fmt="mahimahi")
+        times_ms, digest = read_pinned_ms(path, entry.sha256)
+        if digest != entry.sha256:
+            raise CorpusError(
+                f"corpus {self.root}: trace {name!r} content hash "
+                f"{digest[:12]} does not match manifest "
+                f"{entry.sha256[:12]} — file modified or corrupt")
         return times_ms
 
     def load_seconds(self, name: str, verify: bool = True) -> np.ndarray:
         return self.load_ms(name, verify=verify).astype(float) / 1000.0
 
-    def regenerate_ms(self, name: str) -> np.ndarray:
-        """Recompute a trace from its provenance record alone."""
+    def _regenerate(self, name: str) -> Tuple[np.ndarray, bytes]:
+        """Recompute a trace from its provenance record alone; returns
+        it with its canonical bytes, checked against the manifest hash."""
         entry = self.entry(name)
         kind = entry.source.get("kind")
         if kind == "synth":
@@ -205,12 +265,19 @@ class Corpus:
                 f"corpus {self.root}: trace {name!r} has source kind "
                 f"{kind!r} and its file is gone — imported traces cannot "
                 f"be regenerated")
-        digest = trace_sha256(times_ms)
+        data = encode_canonical(times_ms)
+        digest = hashlib.sha256(data).hexdigest()
         if digest != entry.sha256:
             raise CorpusError(
                 f"corpus {self.root}: regenerating {name!r} produced hash "
                 f"{digest[:12]}, manifest says {entry.sha256[:12]} — "
                 f"channel model or spec drift; rebuild the corpus")
+        return times_ms, data
+
+    def _restore(self, name: str) -> np.ndarray:
+        """Regenerate a trace and (re)write its file; returns the trace."""
+        times_ms, data = self._regenerate(name)
+        _atomic_write_bytes(self.trace_path(name), data)
         return times_ms
 
     # -- integrity ------------------------------------------------------
@@ -229,7 +296,7 @@ class Corpus:
                 report[name] = "missing"
                 continue
             try:
-                digest = trace_sha256(read_trace_ms(path, fmt="mahimahi"))
+                digest = read_pinned_ms(path, entry.sha256)[1]
             except TraceFormatError as exc:
                 report[name] = f"mismatch: unreadable ({exc})"
                 continue
@@ -240,16 +307,13 @@ class Corpus:
 
     def materialize(self) -> List[str]:
         """Regenerate every regenerable trace file that is missing or
-        stale; returns the names written."""
+        stale (including unreadable); returns the names written."""
         written = []
         for name in self.names():
             entry = self.entries[name]
-            path = self.root / entry.file
-            if path.exists():
-                if trace_sha256(read_trace_ms(path, "mahimahi")) == entry.sha256:
-                    continue
-            times_ms = self.regenerate_ms(name)
-            _atomic_write_bytes(path, encode_canonical(times_ms))
+            if _file_matches(self.root / entry.file, entry.sha256):
+                continue
+            self._restore(name)
             written.append(name)
         return written
 
@@ -304,10 +368,11 @@ def _synth_build_task(payload: dict) -> dict:
     output is byte-identical at any ``--jobs``."""
     spec = SynthSpec.from_dict(payload["spec"])
     times_ms = spec.generate_ms()
+    data = encode_canonical(times_ms)
     return {
         "name": payload["name"],
-        "text": encode_canonical(times_ms).decode("ascii"),
-        "sha256": trace_sha256(times_ms),
+        "data": data,
+        "sha256": hashlib.sha256(data).hexdigest(),
         "opportunities": int(times_ms.size),
         "stats": characterize(times_ms).to_dict(),
     }
@@ -367,16 +432,10 @@ def build_corpus(root: PathLike = DEFAULT_CORPUS_DIR,
         spec = by_name[name]
         entry = corpus.entries.get(name)
         if not force and entry is not None \
-                and entry.source == spec.to_dict():
-            path = root / entry.file
-            if path.exists():
-                try:
-                    current = trace_sha256(read_trace_ms(path, "mahimahi"))
-                except TraceFormatError:
-                    current = None
-                if current == entry.sha256:
-                    unchanged.append(name)
-                    continue
+                and entry.source == spec.to_dict() \
+                and _file_matches(root / entry.file, entry.sha256):
+            unchanged.append(name)
+            continue
         todo.append({"name": name, "spec": spec.to_dict()})
 
     built: List[str] = []
@@ -400,7 +459,7 @@ def build_corpus(root: PathLike = DEFAULT_CORPUS_DIR,
             name = todo[outcome.index]["name"]
             result = outcome.result
             rel = f"{TRACE_SUBDIR}/{name}.pps"
-            _atomic_write_bytes(root / rel, result["text"].encode("ascii"))
+            _atomic_write_bytes(root / rel, result["data"])
             corpus.entries[name] = TraceEntry(
                 name=name, file=rel, sha256=result["sha256"],
                 opportunities=result["opportunities"],

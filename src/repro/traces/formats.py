@@ -124,9 +124,18 @@ def read_mahimahi(path: PathLike) -> np.ndarray:
     return validate_ms(np.asarray(values, dtype=np.int64), str(path))
 
 
+def encode_mahimahi(times_ms: np.ndarray, origin: str = "trace") -> bytes:
+    """The mahimahi file bytes: one integer millisecond per line, each
+    newline-terminated (``b"\\n"`` for an empty trace).  Corpus traces
+    are content-addressed by exactly these bytes."""
+    arr = validate_ms(times_ms, origin)
+    if arr.size == 0:
+        return b"\n"
+    return ("%d\n" * arr.size % tuple(arr.tolist())).encode("ascii")
+
+
 def write_mahimahi(path: PathLike, times_ms: np.ndarray) -> None:
-    arr = validate_ms(times_ms, str(path))
-    Path(path).write_text("\n".join(str(int(v)) for v in arr) + "\n")
+    Path(path).write_bytes(encode_mahimahi(times_ms, str(path)))
 
 
 def read_seconds(path: PathLike) -> np.ndarray:

@@ -5,10 +5,14 @@ bit-identical across runs and across ``--jobs`` values; every trace is
 content-addressed and verifiable; regenerable traces survive file loss.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.traces import (
@@ -19,11 +23,17 @@ from repro.traces import (
     characterize,
     import_trace,
     load_corpus,
+    read_trace_ms,
     trace_sha256,
     write_trace_ms,
 )
+from repro.traces.corpus import encode_canonical, read_pinned_ms
 
 MINI = CORPUS_PRESETS["mini"]
+
+#: The committed corpus the Fig 8 benchmark replays.
+FIG8_MANIFEST = (Path(__file__).resolve().parents[1] / "benchmarks"
+                 / "corpora" / "fig8" / "manifest.json")
 
 
 def corpus_fingerprint(root):
@@ -104,6 +114,15 @@ class TestIntegrity:
         assert sorted(written) == corpus.names()
         assert set(corpus.verify().values()) == {"ok"}
 
+    def test_materialize_regenerates_unreadable_trace(self, corpus):
+        name = corpus.names()[0]
+        expected = corpus.load_ms(name).copy()
+        corpus.trace_path(name).write_text("12\nnot-a-number\n")
+        assert corpus.verify()[name].startswith("mismatch: unreadable")
+        assert corpus.materialize() == [name]
+        np.testing.assert_array_equal(corpus.load_ms(name), expected)
+        assert set(corpus.verify().values()) == {"ok"}
+
     def test_load_missing_name(self, corpus):
         with pytest.raises(CorpusError, match="no trace named"):
             corpus.load_ms("nonexistent")
@@ -111,6 +130,108 @@ class TestIntegrity:
     def test_load_corpus_requires_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest.json not found"):
             load_corpus(tmp_path / "empty")
+
+
+def _strict_pinned(path, pin):
+    """What ``read_pinned_ms`` must match whatever the pin: the strict
+    parse, then the canonical hash of its result."""
+    times_ms = read_trace_ms(path, fmt="mahimahi")
+    return times_ms, trace_sha256(times_ms)
+
+
+def _outcome(read, path, pin):
+    try:
+        times_ms, digest = read(path, pin)
+    except Exception as exc:   # the paths must raise the same type
+        return type(exc)
+    assert times_ms.dtype == np.int64
+    return times_ms.tolist(), digest
+
+
+def _encodings(values, index, big):
+    """Ways to write ``values``: the canonical bytes, and variants the
+    strict reader accepts or refuses that must never take the fast path."""
+    lines = [b"%d" % v for v in values]
+    at = index % max(1, len(lines))
+
+    def body(rows, end=b"\n"):
+        return b"".join(row + end for row in rows)
+
+    def prefixed(prefix):
+        return body(prefix + row if i == at else row
+                    for i, row in enumerate(lines))
+
+    return {
+        "canonical": body(lines),
+        "comment": b"# pinned\n" + body(lines),
+        "blank": body(lines[:at] + [b""] + lines[at:]),
+        "crlf": body(lines, b"\r\n"),
+        "leading_zero": prefixed(b"0"),
+        "plus": prefixed(b"+"),
+        "no_final_newline": b"\n".join(lines),
+        "unsorted": body(lines[::-1]),
+        "negative": body(lines + [b"-1"]),
+        "big": body(lines + [b"%d" % big]),
+    }
+
+
+class TestPinnedRead:
+    """``read_pinned_ms`` (raw-byte hash, numpy parse) must accept and
+    refuse exactly the files the strict path does, with equal results."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(min_value=0, max_value=10**6),
+                           max_size=40).map(sorted),
+           index=st.integers(min_value=0, max_value=40),
+           big=st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 2**63,
+                                10**19 - 1, 10**20]))
+    @example(values=[], index=0, big=2**63)
+    @example(values=[0], index=0, big=2**63)
+    @example(values=[7, 7, 7], index=1, big=10**18)
+    def test_matches_strict_path(self, values, index, big,
+                                 tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        encodings = _encodings(values, index, big)
+        encodings.update(empty=b"", newline=b"\n", blank_only=b"\n\n",
+                         zero=b"0\n")
+        for label, data in encodings.items():
+            path = root / f"{label}.pps"
+            path.write_bytes(data)
+            strict = _outcome(_strict_pinned, path, None)
+            pins = {hashlib.sha256(data).hexdigest(), "0" * 64}
+            if isinstance(strict, tuple):
+                pins.add(strict[1])
+            for pin in sorted(pins):
+                assert _outcome(read_pinned_ms, path, pin) == strict, \
+                    (label, data, pin)
+
+    def test_canonical_file_takes_the_fast_path(self, tmp_path,
+                                                monkeypatch):
+        from repro.traces import corpus as corpus_mod
+        times_ms = np.array([0, 3, 3, 1000, 98765], dtype=np.int64)
+        path = tmp_path / "t.pps"
+        path.write_bytes(encode_canonical(times_ms))
+
+        def _boom(*a, **k):
+            raise AssertionError("a canonical pinned file must not be "
+                                 "re-read by the strict parser")
+
+        monkeypatch.setattr(corpus_mod, "read_trace_ms", _boom)
+        got, digest = read_pinned_ms(path, trace_sha256(times_ms))
+        np.testing.assert_array_equal(got, times_ms)
+        assert digest == trace_sha256(times_ms)
+
+
+class TestCommittedCorpusPins:
+    def test_fig8_manifest_regenerates_to_its_pins(self):
+        """Synthesis drift would silently change every trace-driven
+        result; the committed Fig 8 manifest pins it."""
+        traces = json.loads(FIG8_MANIFEST.read_text())["traces"]
+        assert len(traces) == 4
+        for name, row in sorted(traces.items()):
+            times_ms = SynthSpec.from_dict(row["source"]).generate_ms()
+            assert times_ms.size == row["opportunities"], name
+            assert trace_sha256(times_ms) == row["sha256"], name
 
 
 class TestImportAndProvenance:
