@@ -180,14 +180,17 @@ class CellularChannelModel:
         # straightforward loop, so traces are bit-identical; note the
         # share draw was already short-circuited away when share == 1.0,
         # which is why skipping _user_share entirely without competitors
-        # leaves the stream untouched.
+        # leaves the stream untouched.  The cheaper draws below consume
+        # the same bit-generator output as the distribution methods they
+        # replace, and NumPy computes those as 0.0 + h*u (uniform),
+        # 0.0 + s*z (normal) and exp(mu + s*z) (lognormal) from it:
+        # adding 0.0 changes no double other than -0.0, and the normal
+        # draw feeds exp(), where -0.0 and 0.0 agree.
         mean_burst_nominal = p.mean_burst_packets
         burst_sigma = p.burst_sigma
         fast_sigma = p.fast_fading_sigma
         rng_random = rng.random
-        rng_normal = rng.normal
-        rng_uniform = rng.uniform
-        rng_lognormal = rng.lognormal
+        rng_standard_normal = rng.standard_normal
         exp = math.exp
         log = math.log
         append = times.append
@@ -216,21 +219,21 @@ class CellularChannelModel:
                     # The competitor won this TTI.
                     continue
             fade = (exp(log_fade_l[i])
-                    * exp(rng_normal(0.0, fast_sigma))
+                    * exp(fast_sigma * rng_standard_normal())
                     / fade_correction)
             mean_burst = mean_burst_nominal * fade
             # _draw_burst, inlined (lognormal size + randomised rounding).
             if mean_burst <= 0:
                 continue
             mu = log(mean_burst) - 0.5 * burst_sigma * burst_sigma
-            value = rng_lognormal(mu, burst_sigma)
+            value = exp(mu + burst_sigma * rng_standard_normal())
             base = int(value)
             k = base + (1 if rng_random() < value - base else 0)
             if k <= 0:
                 continue
             # Sub-TTI jitter of the burst start, then back-to-back packets
             # at the peak radio rate.
-            start = t + rng_uniform(0.0, half_tti)
+            start = t + half_tti * rng_random()
             for j in range(k):
                 ts = start + j * serialize_dt
                 if ts < duration:
@@ -274,13 +277,17 @@ class CellularChannelModel:
     def _ou_path(self, n: int, theta: float, sigma: float) -> np.ndarray:
         """Ornstein–Uhlenbeck sample path around 0 in the log-rate domain."""
         dt = TTI_SECONDS
-        x = np.empty(n)
-        x[0] = self.rng.normal(0.0, sigma / math.sqrt(max(2 * theta, 1e-9)))
+        prev = self.rng.normal(0.0, sigma / math.sqrt(max(2 * theta, 1e-9)))
         sq = sigma * math.sqrt(dt)
         noise = self.rng.normal(0.0, 1.0, size=n - 1) if n > 1 else np.empty(0)
-        for i in range(1, n):
-            x[i] = x[i - 1] - theta * x[i - 1] * dt + sq * noise[i - 1]
-        return x
+        # Step on Python floats: the same IEEE double arithmetic as on
+        # numpy scalars, so the path is bit-identical, minus the boxing.
+        path = [prev]
+        append = path.append
+        for z in noise.tolist():
+            prev = prev - theta * prev * dt + sq * z
+            append(prev)
+        return np.array(path)
 
     def _outage_mask(self, n_ttis: int, duration: float) -> np.ndarray:
         mask = np.zeros(n_ttis, dtype=bool)

@@ -1,5 +1,7 @@
 """Tests for the cellular channel model, scenarios, bursts, and trace I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,33 @@ class TestGeneration:
         busy = contended.generate(30.0, capacity_bps=20e6,
                                   competitors=[competitor])
         assert busy.size < free.size * 0.8
+
+    def test_ou_path_bit_identical_to_numpy_scalar_loop(self):
+        """``_ou_path`` steps on Python floats; it must reproduce the
+        numpy-scalar loop below bit for bit and consume the same draws."""
+        def reference(rng, n, theta, sigma):
+            dt = 0.001
+            x = np.empty(n)
+            x[0] = rng.normal(0.0, sigma / math.sqrt(max(2 * theta, 1e-9)))
+            sq = sigma * math.sqrt(dt)
+            noise = rng.normal(0.0, 1.0, size=n - 1) if n > 1 else np.empty(0)
+            for i in range(1, n):
+                x[i] = x[i - 1] - theta * x[i - 1] * dt + sq * noise[i - 1]
+            return x
+
+        for n, theta, sigma, seed in ((1, 0.4, 0.25, 0), (2, 0.4, 0.25, 1),
+                                      (5000, 0.4, 0.25, 2),
+                                      (3000, 0.0, 0.6, 3),
+                                      (3000, 2.5, 1.1, 4)):
+            model = CellularChannelModel(ChannelParams(),
+                                         rng=np.random.default_rng(seed))
+            ref_rng = np.random.default_rng(seed)
+            got = model._ou_path(n, theta, sigma)
+            want = reference(ref_rng, n, theta, sigma)
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+            assert model.rng.random() == ref_rng.random()
 
 
 class TestCompetingUser:
