@@ -4,8 +4,8 @@ A :class:`CampaignSpec` describes the whole sweep; :meth:`CampaignSpec.expand`
 turns it into one :class:`TaskSpec` per grid cell.  Each task is
 
 * **individually hashable** — :meth:`TaskSpec.key` canonicalises the spec
-  (sorted-key JSON plus the repro version) and hashes it with SHA-256, so the
-  result store can address cached cells by content; and
+  (sorted-key JSON plus :func:`code_fingerprint`) and hashes it with SHA-256,
+  so the result store can address cached cells by content; and
 * **deterministically seeded** — per-task seeds are derived with
   ``numpy.random.SeedSequence(base_seed).spawn(n)``, indexed by the task's
   position in the expanded grid.  The seed depends only on the grid cell,
@@ -15,15 +15,16 @@ turns it into one :class:`TaskSpec` per grid cell.  Each task is
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import __version__ as REPRO_VERSION
 from ..cellular import SCENARIO_NAMES
 from ..experiments.runner import PROTOCOL_NAMES
 
@@ -37,6 +38,22 @@ def _canonical_json(payload: dict) -> str:
     """Deterministic JSON used for hashing: sorted keys, no whitespace
     drift, floats via repr (shortest round-trip form in py>=3.1)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the ``repro`` package's own source, once per process.
+
+    Hashes every ``*.py`` file under the package, in sorted relative-path
+    order, path and bytes, so any edit to the simulator yields a new
+    fingerprint — wherever the tree is checked out."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for name in sorted(p.relative_to(root).as_posix()
+                       for p in root.rglob("*.py")):
+        digest.update(name.encode("utf-8") + b"\0")
+        digest.update((root / name).read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -119,18 +136,18 @@ class TaskSpec:
         return cls(**payload)
 
     def key(self) -> str:
-        """Content address: SHA-256 of the canonical spec + repro version.
+        """Content address: SHA-256 of the canonical spec + the code.
 
-        The version is part of the address so a cache populated by an
-        older simulator never masks behaviour changes.  When the trace
-        content is pinned by ``trace_sha256``, the file *path* is
-        dropped from the address — the hash already identifies the
-        input, and relocating a corpus must not invalidate the cache."""
+        :func:`code_fingerprint` is part of the address, so a cache
+        populated by a different simulator source never masks behaviour
+        changes.  When the trace content is pinned by ``trace_sha256``,
+        the file *path* is dropped from the address — the hash already
+        identifies the input, and relocating a corpus must not
+        invalidate the cache."""
         body = self.to_dict()
         if self.trace_sha256 is not None:
             body["trace_file"] = None
-        body = _canonical_json({"task": body,
-                                "repro_version": REPRO_VERSION})
+        body = _canonical_json({"task": body, "code": code_fingerprint()})
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 

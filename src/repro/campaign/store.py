@@ -1,7 +1,7 @@
 """Content-addressed on-disk result store for campaign cells.
 
 Each completed task is written to ``<root>/<key[:2]>/<key>.json`` where
-``key`` is the task's content hash (spec + repro version, see
+``key`` is the task's content hash (spec + code fingerprint, see
 :meth:`~repro.campaign.spec.TaskSpec.key`).  Writes go through a
 temporary file in the same directory followed by ``os.replace``, so a
 crash mid-write can never leave a truncated record that a later

@@ -113,10 +113,10 @@ class CheckScenario:
     def key(self) -> str:
         """Content address of the scenario definition.
 
-        Unlike campaign cache keys this deliberately excludes the repro
-        version: a golden trace should be invalidated by behaviour
+        Unlike campaign cache keys this deliberately excludes the code
+        fingerprint: a golden trace should be invalidated by behaviour
         changes (which the diff detects) or scenario changes (which this
-        key detects), never by a version bump alone.
+        key detects), never by a source edit alone.
         """
         return hashlib.sha256(
             _canonical_json(self.to_dict()).encode("utf-8")).hexdigest()

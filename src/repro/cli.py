@@ -27,231 +27,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
 
 from .experiments import format_table
-from .experiments.report import format_series
+from .experiments.registry import ITEMS
 
 
 def _seed_kwargs(args) -> dict:
     """``{'seed': n}`` when ``--seed`` was given, else {} (paper default)."""
     seed = getattr(args, "seed", None)
     return {} if seed is None else {"seed": seed}
-
-
-def _run_fig1(args) -> None:
-    from .experiments.channel_study import fig1_burst_arrivals
-    result = fig1_burst_arrivals(duration=args.duration, **_seed_kwargs(args))
-    print(format_series("fig1 burst arrivals", result.times,
-                        result.delays * 1e3, "t(s)", "delay(ms)"))
-    print(format_table([result.stats.summary()], title="burst statistics"))
-
-
-def _run_fig2(args) -> None:
-    from .experiments.channel_study import fig2_burst_pdfs
-    result = fig2_burst_pdfs(duration=args.duration, **_seed_kwargs(args))
-    print(format_table(result.summary_rows(), title="Fig 2: burst statistics"))
-
-
-def _run_fig3(args) -> None:
-    from .experiments.channel_study import fig3_competing_traffic
-    result = fig3_competing_traffic(duration=args.duration,
-                                    **_seed_kwargs(args))
-    print(format_table(result.rows, title="Fig 3: competing traffic delay"))
-
-
-def _run_fig4(args) -> None:
-    from .experiments.channel_study import fig4_throughput_windows
-    from .viz import line_chart
-    result = fig4_throughput_windows(duration=args.duration,
-                                     **_seed_kwargs(args))
-    t100, s100 = result.window_100ms
-    t20, s20 = result.window_20ms
-    n = min(600, t100.size)
-    print(line_chart(t100[:n], s100[:n] / 1e6,
-                     title="Fig 4a: 100 ms windows", x_label="t (s)",
-                     y_label="Mbps"))
-    n = min(600, t20.size)
-    print(line_chart(t20[:n], s20[:n] / 1e6,
-                     title="Fig 4b: 20 ms windows", x_label="t (s)",
-                     y_label="Mbps"))
-    print(f"CV @100ms: {result.variability(result.window_100ms[1]):.2f}   "
-          f"CV @20ms: {result.variability(result.window_20ms[1]):.2f}")
-    print(format_table(result.predictor_rows, title="§3 predictor study"))
-
-
-def _run_fig5(args) -> None:
-    from .experiments.profile_study import fig5_example_profile
-    from .viz import line_chart
-    snap = fig5_example_profile(duration=args.duration, **_seed_kwargs(args))
-    print(line_chart(snap.windows, snap.delays_ms,
-                     title="Fig 5: Verus delay profile",
-                     x_label="sending window W (packets)",
-                     y_label="delay D (ms)"))
-
-
-def _run_fig7(args) -> None:
-    from .experiments.profile_study import fig7_profile_evolution, profile_tracks_channel
-    result = fig7_profile_evolution(duration=args.duration,
-                                    **_seed_kwargs(args))
-    print(f"snapshots: {len(result.snapshots)}  "
-          f"interpolations: {result.interpolations}  "
-          f"profile_tracks_channel: {profile_tracks_channel(result)}")
-
-
-def _run_fig8(args) -> None:
-    from .experiments.macro import fig8_realworld
-    points = fig8_realworld(duration=args.duration, repetitions=args.reps,
-                            **_seed_kwargs(args))
-    print(format_table([p.as_dict() for p in points],
-                       title="Fig 8: real-world macro comparison"))
-
-
-def _run_fig9(args) -> None:
-    from .experiments.macro import fig9_r_tradeoff
-    points = fig9_r_tradeoff(duration=args.duration, repetitions=args.reps,
-                             **_seed_kwargs(args))
-    print(format_table([p.as_dict() for p in points],
-                       title="Fig 9: Verus R trade-off"))
-
-
-def _run_fig10(args) -> None:
-    from .experiments.tracedriven import fig10_mobility, summarize_fig10
-    from .viz import scatter_plot
-    points = fig10_mobility(duration=args.duration, **_seed_kwargs(args))
-    print(format_table(summarize_fig10(points),
-                       title="Fig 10: mobility scatter (summarised)"))
-    for scenario in sorted({p.scenario for p in points}):
-        groups = {}
-        for p in points:
-            if p.scenario == scenario and p.mean_delay_ms > 0:
-                groups.setdefault(p.protocol, []).append(
-                    (p.mean_delay_ms / 1e3, p.throughput_mbps))
-        print(scatter_plot(groups, title=f"Fig 10: {scenario}",
-                           x_label="delay (s)", y_label="Mbps", log_x=True))
-
-
-def _run_table1(args) -> None:
-    from .experiments.tracedriven import table1_fairness
-    rows = table1_fairness(duration=args.duration, **_seed_kwargs(args))
-    print(format_table(rows, title="Table 1: Jain's fairness index"))
-
-
-def _run_fig11(args) -> None:
-    from .experiments.micro import fig11_rapid_change
-    from .viz import multi_line_chart
-    for scenario in ("I", "II"):
-        result = fig11_rapid_change(scenario, duration=args.duration,
-                                    **_seed_kwargs(args))
-        rows = [{"protocol": name,
-                 "throughput_mbps": stats["throughput_bps"] / 1e6,
-                 "mean_delay_ms": stats["mean_delay_ms"],
-                 "utilization": result.utilization(name)}
-                for name, stats in result.stats.items()]
-        print(format_table(rows, title=f"Fig 11 scenario {scenario}"))
-        series = {name: (t, tput / 1e6)
-                  for name, (t, tput) in result.series.items()}
-        print(multi_line_chart(series,
-                               title=f"Fig 11 {scenario}: throughput",
-                               x_label="t (s)", y_label="Mbps"))
-
-
-def _run_fig12(args) -> None:
-    from .experiments.micro import fig12_new_flows
-    result = fig12_new_flows(**_seed_kwargs(args))
-    print(f"Fig 12: final Jain index {result.final_jain:.3f}, first flow "
-          f"alone used {result.first_flow_initial_share:.0%} of the link")
-
-
-def _run_fig13(args) -> None:
-    from .experiments.micro import fig13_rtt_fairness
-    result = fig13_rtt_fairness(duration=args.duration, **_seed_kwargs(args))
-    print(format_table([s.as_dict() for s in result["stats"]],
-                       title="Fig 13: RTT fairness"))
-    print(f"Jain index: {result['jain']:.3f}   "
-          f"max/min throughput: {result['max_over_min']:.2f}")
-
-
-def _run_fig14(args) -> None:
-    from .experiments.micro import fig14_vs_cubic
-    result = fig14_vs_cubic(**_seed_kwargs(args))
-    print(f"Fig 14: Verus/Cubic aggregate share ratio "
-          f"{result['verus_to_cubic_ratio']:.2f} "
-          f"(Jain over all six flows: {result['jain_all']:.3f})")
-
-
-def _run_fig15(args) -> None:
-    from .experiments.tracedriven import (
-        fig15_delay_ratio,
-        fig15_gain,
-        fig15_static_profile,
-    )
-    rows = fig15_static_profile(duration=args.duration, **_seed_kwargs(args))
-    print(format_table(rows, title="Fig 15: static vs updating profile"))
-    print(f"updating/static throughput ratio: {fig15_gain(rows):.2f}")
-    print(f"updating/static delay ratio:      {fig15_delay_ratio(rows):.2f}")
-
-
-def _run_shortflows(args) -> None:
-    from .experiments.short_flows import fct_sweep, verus_competitive_ratio
-    rows = fct_sweep(repetitions=2, duration=min(args.duration * 2, 120.0),
-                     **_seed_kwargs(args))
-    print(format_table(rows, title="§7 short flows: completion times (s)"))
-    print(f"geometric-mean Verus/Cubic FCT ratio: "
-          f"{verus_competitive_ratio(rows):.2f}")
-
-
-def _run_uplink(args) -> None:
-    from .experiments.uplink import observations_carry_over, uplink_comparison
-    rows = uplink_comparison(duration=args.duration, **_seed_kwargs(args))
-    print(format_table(rows, title="§6.2 uplink comparison"))
-    print("checks:", observations_carry_over(rows))
-
-
-def _run_landscape(args) -> None:
-    import importlib.util
-    import pathlib
-    bench = (pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-             / "test_extended_baselines.py")
-    if bench.exists():
-        spec = importlib.util.spec_from_file_location("landscape", bench)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        rows = module.run_landscape(duration=args.duration,
-                                    **_seed_kwargs(args))
-    else:   # installed without the benchmarks tree: inline fallback
-        from .cellular import generate_scenario_trace
-        from .experiments import repeat_flows, run_trace_contention
-        from .metrics import aggregate_stats
-        trace = generate_scenario_trace("city_stationary",
-                                        duration=args.duration,
-                                        technology="3g",
-                                        mean_rate_bps=10e6, seed=21)
-        rows = []
-        for protocol in ("verus", "cubic", "vegas", "sprout", "pcc"):
-            options = {"r": 2.0} if protocol == "verus" else {}
-            result = run_trace_contention(
-                trace, repeat_flows(protocol, 3, **options),
-                duration=args.duration, seed=21)
-            agg = aggregate_stats(result.all_stats())
-            rows.append({"protocol": protocol,
-                         "throughput_mbps": agg["mean_throughput_mbps"],
-                         "mean_delay_ms": agg["mean_delay_ms"]})
-    print(format_table(rows, title="Protocol landscape on one 3G cell"))
-    from .viz import scatter_plot
-    groups = {r["protocol"]: [(max(r["mean_delay_ms"], 0.1) / 1e3,
-                               r["throughput_mbps"])] for r in rows}
-    print(scatter_plot(groups, title="throughput vs delay",
-                       x_label="delay (s)", y_label="Mbps", log_x=True))
-
-
-def _run_sensitivity(args) -> None:
-    from .experiments import sensitivity
-    for name, fn in (("epoch", sensitivity.sweep_epoch),
-                     ("update interval", sensitivity.sweep_update_interval),
-                     ("deltas", sensitivity.sweep_deltas)):
-        print(format_table(fn(duration=args.duration, **_seed_kwargs(args)),
-                           title=f"§5.3 sweep: {name}"))
 
 
 def _run_live(args) -> None:
@@ -811,17 +595,6 @@ def _run_soak(args) -> int:
     return 1
 
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": _run_fig1, "fig2": _run_fig2, "fig3": _run_fig3,
-    "fig4": _run_fig4, "fig5": _run_fig5, "fig7": _run_fig7,
-    "fig8": _run_fig8, "fig9": _run_fig9, "fig10": _run_fig10,
-    "table1": _run_table1, "fig11": _run_fig11, "fig12": _run_fig12,
-    "fig13": _run_fig13, "fig14": _run_fig14, "fig15": _run_fig15,
-    "sensitivity": _run_sensitivity, "shortflows": _run_shortflows,
-    "uplink": _run_uplink, "landscape": _run_landscape,
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="verus-repro",
@@ -831,7 +604,7 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(ITEMS))
     run.add_argument("--duration", type=float, default=60.0,
                      help="simulated seconds per run (default 60)")
     run.add_argument("--reps", type=int, default=2,
@@ -868,8 +641,11 @@ def main(argv=None) -> int:
                            "print both result tables")
 
     report = sub.add_parser(
-        "report", help="run the full reproduction and write a markdown report")
-    report.add_argument("--duration", type=float, default=45.0)
+        "report", help="run every paper item's shape checks and write a "
+                       "markdown report")
+    report.add_argument("--duration", type=float, default=45.0,
+                        help="minimum simulated seconds per run "
+                             "(default 45)")
     report.add_argument("--items", nargs="*", default=None,
                         help="subset of report items (default: all)")
     report.add_argument("--jobs", type=int, default=1,
@@ -1172,20 +948,26 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list" or args.command is None:
-        for name in sorted(EXPERIMENTS):
+        for name in sorted(ITEMS):
             print(name)
         return 0
     if args.command == "run":
+        item = ITEMS[args.experiment]
+
+        def run_item() -> None:
+            item.render(item.call(**item.run_args(args.duration, args.reps),
+                                  **_seed_kwargs(args)))
+
         if args.telemetry:
             from .obs import TelemetrySession, telemetry, write_session
             session = TelemetrySession()
             with telemetry(session):
-                EXPERIMENTS[args.experiment](args)
+                run_item()
             for path in write_session(session, args.telemetry_out,
                                       prefix=f"telemetry_{args.experiment}"):
                 print(f"wrote {path}")
         else:
-            EXPERIMENTS[args.experiment](args)
+            run_item()
         return 0
     if args.command == "quickstart":
         from . import quick_comparison

@@ -1,30 +1,16 @@
 """Experiment harness: one entry point per paper figure/table.
 
-============  =============================================
-Paper item    Function
-============  =============================================
-Fig 1         :func:`channel_study.fig1_burst_arrivals`
-Fig 2         :func:`channel_study.fig2_burst_pdfs`
-Fig 3         :func:`channel_study.fig3_competing_traffic`
-Fig 4 / §3    :func:`channel_study.fig4_throughput_windows`
-Fig 5         :func:`profile_study.fig5_example_profile`
-Fig 7         :func:`profile_study.fig7_profile_evolution`
-Fig 8         :func:`macro.fig8_realworld`
-Fig 9         :func:`macro.fig9_r_tradeoff`
-Fig 10        :func:`tracedriven.fig10_mobility`
-Table 1       :func:`tracedriven.table1_fairness`
-Fig 11        :func:`micro.fig11_rapid_change`
-Fig 12        :func:`micro.fig12_new_flows`
-Fig 13        :func:`micro.fig13_rtt_fairness`
-Fig 14        :func:`micro.fig14_vs_cubic`
-Fig 15        :func:`tracedriven.fig15_static_profile`
-§5.3 sweeps   :mod:`sensitivity`
-============  =============================================
+The figure modules (``channel_study``, ``profile_study``, ``macro``,
+``tracedriven``, ``micro``, ``sensitivity``, ``short_flows``, ``uplink``,
+``landscape``) encode each paper item's workload.  Which entry point
+reproduces which paper item, with its quoted claim and shape checks, is
+recorded in one place: :data:`repro.experiments.registry.ITEMS`.  The
+registry is imported on demand (``repro run``, ``repro report``), not by
+this package.
 """
 
 from . import (
     channel_study,
-    full_report,
     macro,
     micro,
     profile_study,
@@ -53,7 +39,6 @@ __all__ = [
     "channel_study",
     "format_series",
     "format_table",
-    "full_report",
     "macro",
     "make_endpoints",
     "micro",

@@ -1,9 +1,11 @@
-"""One-shot reproduction report: run every experiment, emit markdown.
+"""One-shot reproduction report: run every checked paper item, emit markdown.
 
-``python -m repro report`` (or :func:`generate_report`) runs each paper
-item at configurable fidelity, evaluates the same shape checks the
-benchmarks assert, and writes a self-contained markdown report — the
-artefact a reproduction study would attach to a paper review.
+``python -m repro report`` (or :func:`generate_report`) runs each item
+of :data:`repro.experiments.registry.ITEMS` at its ``test`` size, with
+every run lasting at least ``duration`` simulated seconds, evaluates the
+item's shape checks at ``test`` thresholds, and writes a self-contained
+markdown report — the artefact a reproduction study would attach to a
+paper review.
 
 Items are submitted through the campaign executor
 (:func:`repro.campaign.run_tasks`), which provides the uniform failure
@@ -16,9 +18,9 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from .report import format_table
+from .registry import ITEMS
 
 
 @dataclass
@@ -33,116 +35,24 @@ class ItemResult:
     error: Optional[str] = None
 
 
-def _fig3(duration: float) -> ItemResult:
-    from .channel_study import fig3_competing_traffic
-    result = fig3_competing_traffic(duration=max(duration, 120.0))
-    jumps = [row["avg_delay_on_ms"] - row["avg_delay_off_ms"]
-             for row in result.rows]
-    ok = all(j > 0 for j in jumps) and jumps[-1] == max(jumps)
-    details = [f"{row['user1_rate_mbps']:.0f} Mbps: "
-               f"{row['avg_delay_off_ms']:.0f} -> {row['avg_delay_on_ms']:.0f} ms"
-               for row in result.rows]
-    return ItemResult("fig3", "competing traffic raises delay", ok, details)
-
-
-def _fig4(duration: float) -> ItemResult:
-    from .channel_study import fig4_throughput_windows
-    result = fig4_throughput_windows(duration=duration)
-    cv100 = result.variability(result.window_100ms[1])
-    cv20 = result.variability(result.window_20ms[1])
-    ok = cv20 > cv100 > 0.2
-    return ItemResult("fig4", "throughput variability across windows", ok,
-                      [f"CV@100ms={cv100:.2f}", f"CV@20ms={cv20:.2f}"])
-
-
-def _fig9(duration: float) -> ItemResult:
-    from .macro import check_fig9_shape, fig9_r_tradeoff
-    points = fig9_r_tradeoff(duration=duration, repetitions=1,
-                             technologies=("3g",))
-    checks = check_fig9_shape(points)
-    details = [f"{p.protocol}: {p.mean_throughput_mbps:.2f} Mbps @ "
-               f"{p.mean_delay_ms:.0f} ms" for p in points]
-    return ItemResult("fig9", "R trades delay for throughput",
-                      all(checks.values()), details)
-
-
-def _fig10(duration: float) -> ItemResult:
-    from .tracedriven import fig10_mobility, summarize_fig10
-    points = fig10_mobility(flows=5, duration=duration,
-                            scenarios=("campus_pedestrian",))
-    rows = summarize_fig10(points)
-    by_proto = {r["protocol"]: r for r in rows}
-    ok = (by_proto["verus_r2"]["mean_delay_ms"]
-          < by_proto["cubic"]["mean_delay_ms"] / 2.5)
-    details = [f"{r['protocol']}: {r['mean_throughput_mbps']:.2f} Mbps @ "
-               f"{r['mean_delay_ms']:.0f} ms" for r in rows]
-    return ItemResult("fig10", "order-of-magnitude delay gap vs TCP", ok,
-                      details)
-
-
-def _table1(duration: float) -> ItemResult:
-    from .tracedriven import table1_fairness
-    rows = table1_fairness(user_counts=(2, 10), duration=duration,
-                           scenarios=("campus_pedestrian", "city_driving"))
-    ok = all(0.0 < row[key] <= 1.0 for row in rows
-             for key in row if key != "users")
-    details = [str(row) for row in rows]
-    return ItemResult("table1", "windowed Jain fairness", ok, details)
-
-
-def _fig11(duration: float) -> ItemResult:
-    from .micro import fig11_rapid_change
-    result = fig11_rapid_change("II", duration=max(duration, 160.0))
-    verus = result.stats["verus"]["throughput_bps"]
-    sprout = result.stats["sprout"]["throughput_bps"]
-    ok = verus > 0.9 * sprout
-    return ItemResult(
-        "fig11", "rapid change: Verus >= Sprout throughput", ok,
-        [f"verus={verus / 1e6:.2f} Mbps", f"sprout={sprout / 1e6:.2f} Mbps"])
-
-
-def _fig13(duration: float) -> ItemResult:
-    # RTT-fairness needs the windowed D_min to converge (~2 window
-    # horizons per flow), so it runs at its benchmark duration.
-    from .micro import fig13_rtt_fairness
-    result = fig13_rtt_fairness(duration=max(duration, 120.0))
-    ok = (result["jain"] > 0.55
-          and min(s.throughput_bps for s in result["stats"]) > 2e6)
-    details = [f"jain={result['jain']:.3f}",
-               f"max/min={result['max_over_min']:.2f}"]
-    return ItemResult("fig13", "RTT fairness", ok, details)
-
-
-def _fig15(duration: float) -> ItemResult:
-    from .tracedriven import fig15_delay_ratio, fig15_static_profile
-    rows = fig15_static_profile(scenarios=("city_driving", "shopping_mall"),
-                                flows=3, duration=duration)
-    ratio = fig15_delay_ratio(rows)
-    ok = ratio < 1.1
-    return ItemResult("fig15", "profile updates keep delay low", ok,
-                      [f"updating/static delay ratio={ratio:.2f}"])
-
-
-ITEMS: Dict[str, Callable[[float], ItemResult]] = {
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "table1": _table1,
-    "fig11": _fig11,
-    "fig13": _fig13,
-    "fig15": _fig15,
-}
-
-
 def run_report_item(payload: dict) -> ItemResult:
     """Execute one report item, stdout silenced.
 
     Module-level so the campaign executor can ship it to pool workers;
     exceptions propagate into the executor's failure path.
     """
+    name = payload["item"]
+    item = ITEMS[name]
+    kwargs = dict(item.sizes["test"])
+    if "duration" in kwargs:
+        kwargs["duration"] = max(kwargs["duration"], payload["duration"])
     with redirect_stdout(io.StringIO()):
-        return ITEMS[payload["item"]](payload["duration"])
+        result = item.call(**kwargs)
+    checks = item.check(result, "test")
+    details = item.details(result) if item.details else []
+    details += [f"failed check: {check}"
+                for check, ok in checks.items() if not ok]
+    return ItemResult(name, item.title, all(checks.values()), details)
 
 
 def generate_report(duration: float = 45.0,
@@ -151,8 +61,7 @@ def generate_report(duration: float = 45.0,
     """Run the selected (default: all) report items and return markdown.
 
     ``jobs`` > 1 fans the items out over the campaign engine's process
-    pool; the default of 1 runs them serially in-process, exactly as
-    before.
+    pool; the default of 1 runs them serially in-process.
     """
     from ..campaign import run_tasks
 

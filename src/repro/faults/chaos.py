@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..campaign.executor import ProgressFn, RunResult, run_tasks
-from ..campaign.spec import _canonical_json
+from ..campaign.spec import _canonical_json, code_fingerprint
 from ..campaign.store import ResultStore
 from ..cellular import SCENARIO_NAMES
 from ..experiments.runner import PROTOCOL_NAMES
@@ -98,15 +98,15 @@ class ChaosTask:
         return cls(**payload)
 
     def key(self) -> str:
-        """Content address, versioned like campaign task keys.  When a
-        trace hash pins the channel, the file path is dropped from the
-        address (relocating a corpus must not invalidate the cache)."""
-        from .. import __version__ as repro_version
+        """Content address, tied to the source like campaign task keys
+        (:func:`~repro.campaign.spec.code_fingerprint`).  When a trace
+        hash pins the channel, the file path is dropped from the address
+        (relocating a corpus must not invalidate the cache)."""
         body = self.to_dict()
         if self.trace_sha256 is not None:
             body["trace_file"] = None
         body = _canonical_json({"chaos_task": body,
-                                "repro_version": repro_version})
+                                "code": code_fingerprint()})
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def schedule(self) -> FaultSchedule:

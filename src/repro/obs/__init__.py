@@ -44,7 +44,6 @@ from .meters import (
 from .profiler import SPANS_SCHEMA, Spans, profile_call, profile_hotpaths
 from .timeline import (
     TIMELINE_SCHEMA,
-    EventSampler,
     RingBuffer,
     TelemetrySession,
     TimelineRecorder,
@@ -56,7 +55,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCHMARKS",
     "Counter",
-    "EventSampler",
     "Gauge",
     "Histogram",
     "MeterRegistry",

@@ -8,13 +8,6 @@ events, Sprout's belief-derived budget, TCP's cwnd trajectory — into a
 bounded ring buffer, so a long live session records the recent past at
 O(1) memory instead of growing without bound.
 
-:class:`EventSampler` covers the other seam,
-:meth:`~repro.netsim.engine.Simulator.add_monitor`: it buckets engine
-events over simulated time.  It costs one dict update per event, so it
-is opt-in (``TelemetrySession(sample_events=True)``); the default
-telemetry attachment reads ``Simulator.events_processed`` at the end of
-the run instead and stays off the per-event path entirely.
-
 :class:`TelemetrySession` bundles the pieces and is the object the
 ``--telemetry`` CLI flags activate: while a session is current (see
 :func:`telemetry`), the experiment runner attaches recorders to every
@@ -170,40 +163,6 @@ class TimelineRecorder:
         return self.appended - len(self._entries)
 
 
-class EventSampler:
-    """Per-event engine monitor bucketing events over simulated time.
-
-    Registered through ``Simulator.add_monitor``; each event costs one
-    dict update.  Use for diagnosing *when* an experiment's event load
-    spikes; leave detached (the default) when only totals are needed.
-    """
-
-    def __init__(self, resolution: float = 1.0):
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive (got {resolution})")
-        self.resolution = resolution
-        self.buckets: Dict[int, int] = {}
-        self._sim = None
-
-    def __call__(self, time: float) -> None:
-        bucket = int(time / self.resolution)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    def attach(self, sim) -> "EventSampler":
-        sim.add_monitor(self)
-        self._sim = sim
-        return self
-
-    def detach(self) -> None:
-        if self._sim is not None:
-            self._sim.remove_monitor(self)
-            self._sim = None
-
-    def series(self) -> List[dict]:
-        return [{"t": bucket * self.resolution, "events": count}
-                for bucket, count in sorted(self.buckets.items())]
-
-
 class TelemetrySession:
     """One experiment's worth of telemetry: recorders, meters, spans.
 
@@ -213,16 +172,11 @@ class TelemetrySession:
     their numbers.
     """
 
-    def __init__(self, timeline_capacity: int = 4096,
-                 sample_events: bool = False,
-                 event_resolution: float = 1.0):
+    def __init__(self, timeline_capacity: int = 4096):
         self.timeline_capacity = timeline_capacity
-        self.sample_events = sample_events
-        self.event_resolution = event_resolution
         self.registry = MeterRegistry()
         self.spans = Spans()
         self.recorders: List[TimelineRecorder] = []
-        self.samplers: List[EventSampler] = []
         self.runs = 0
 
     # ------------------------------------------------------------------
@@ -246,17 +200,12 @@ class TelemetrySession:
                                             source="rx")
                 observers.append(recorder)
                 self.recorders.append(recorder)
-        if self.sample_events:
-            self.samplers.append(
-                EventSampler(self.event_resolution).attach(sim))
 
     def finalize(self, sim) -> None:
         """Fold end-of-run engine statistics into the meters."""
         self.registry.counter("engine.events").inc(
             getattr(sim, "events_processed", 0))
         self.registry.gauge("engine.sim_seconds").set(getattr(sim, "now", 0.0))
-        for sampler in self.samplers:
-            sampler.detach()
 
     # ------------------------------------------------------------------
     def rows(self) -> List[dict]:
@@ -278,7 +227,6 @@ class TelemetrySession:
             "timeline_dropped": self.dropped(),
             "meters": self.registry.snapshot(),
             "spans": self.spans.snapshot(),
-            "event_series": [s.series() for s in self.samplers],
         }
 
 

@@ -2,9 +2,16 @@
 store, aggregation, and the end-to-end determinism/caching guarantees."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.campaign import (
     CampaignSpec,
@@ -63,6 +70,31 @@ class TestTaskSpec:
         b = TaskSpec(scenario="city_driving", protocol="verus", flows=1,
                      duration=5.0, seed=1, options={"epoch": 0.01, "r": 2.0})
         assert a.key() == b.key()
+
+    def test_keys_follow_the_code(self, tmp_path):
+        """A copy of the package keys cells like the original; editing one
+        of its source files moves every sweep and chaos key."""
+        script = ("from repro.campaign import TaskSpec\n"
+                  "from repro.faults.chaos import ChaosTask\n"
+                  "print(TaskSpec(scenario='city_driving', protocol='cubic',"
+                  " flows=1, duration=5.0, seed=1).key(),"
+                  " ChaosTask('verus', 'blackout', 10.0, 42).key())")
+
+        def keys(src):
+            return subprocess.run([sys.executable, "-c", script], cwd=src,
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split()
+
+        copy = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, copy / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = keys(Path(repro.__file__).parents[1])
+        assert keys(copy) == original
+        with open(copy / "repro" / "tcp" / "cubic.py", "a") as fh:
+            fh.write("\n# edited\n")
+        edited = keys(copy)
+        assert edited[0] != original[0] and edited[1] != original[1]
 
 
 class TestCampaignSpec:

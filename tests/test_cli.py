@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments.registry import ITEMS
 
 
 class TestParsing:
@@ -20,12 +21,14 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
 
-    def test_registry_covers_all_paper_items(self):
+    def test_registry_covers_all_paper_items(self, capsys):
         expected = {f"fig{i}" for i in (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12,
                                         13, 14, 15)}
         expected |= {"table1", "sensitivity", "shortflows", "uplink",
                      "landscape"}
-        assert set(EXPERIMENTS) == expected
+        assert set(ITEMS) == expected
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out.split() == sorted(ITEMS)
 
 
 class TestCommands:
@@ -108,6 +111,17 @@ class TestSeedFlag:
         first = capsys.readouterr().out
         assert main(["run", "fig2", "--duration", "20", "--seed", "2"]) == 0
         assert capsys.readouterr().out != first
+
+    def test_landscape_prints_every_protocol_and_honours_seed(self, capsys):
+        outputs = []
+        for seed in ("3", "4"):
+            assert main(["run", "landscape", "--duration", "6",
+                         "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        for protocol in ("verus", "cubic", "newreno", "vegas", "sprout",
+                         "pcc", "ledbat", "compound", "binomial"):
+            assert all(f"\n{protocol} " in out for out in outputs)
+        assert outputs[0] != outputs[1]
 
     def test_quickstart_accepts_seed(self, capsys):
         assert main(["quickstart", "--duration", "10", "--seed", "7"]) == 0

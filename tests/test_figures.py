@@ -1,180 +1,156 @@
-"""Smoke-level integration tests for every figure/table entry point.
+"""Every paper item's shape checks at its ``test`` size.
 
-These run each experiment at reduced duration and assert the *shape*
-properties the paper reports — the full-fidelity versions live in
-``benchmarks/``.
+The items, their test-size runs and their thresholds live in
+:mod:`repro.experiments.registry`; the full-fidelity ``figure`` size
+runs in ``benchmarks/test_figures.py``.  Each item runs once per
+session, is rendered as ``repro run`` would print it and is checked:
+``test_item_holds_at_test_size`` asserts all of its checks, and the
+named tests below read single checks of the same run.
 """
 
-import numpy as np
+import functools
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import channel_study, micro, profile_study, sensitivity
-from repro.experiments import tracedriven
+from repro.experiments import micro
+from repro.experiments.registry import ITEMS
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+
+#: Items whose test-size run takes more than a few seconds.
+SLOW = {"fig8", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
+        "fig15"}
+
+
+@functools.lru_cache(maxsize=None)
+def run_item(name):
+    """``(checks, rendered text)`` of the item's test-size run."""
+    item = ITEMS[name]
+    result = item.run("test")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        item.render(result)
+    return item.check(result, "test"), out.getvalue()
+
+
+def holds(name, *checks):
+    found = run_item(name)[0]
+    failed = [check for check in checks or found if not found[check]]
+    assert not failed, f"{name}: {failed} failed ({found})"
+
+
+EVERY_ITEM = [pytest.param(name, marks=pytest.mark.slow) if name in SLOW
+              else name for name in ITEMS]
+
+
+@pytest.mark.parametrize("name", EVERY_ITEM)
+def test_item_holds_at_test_size(name):
+    holds(name)
+
+
+@pytest.mark.parametrize("name", EVERY_ITEM)
+def test_item_renders(name):
+    assert run_item(name)[1].strip()
+
+
+def test_experiments_md_has_a_row_per_item():
+    rows = [line for line in EXPERIMENTS_MD.read_text().splitlines()
+            if line.startswith("|")]
+    missing = [name for name, item in ITEMS.items()
+               if not any(item.claim in row for row in rows)]
+    assert not missing, f"no EXPERIMENTS.md row quotes the claim of {missing}"
 
 
 class TestFig1:
     def test_burstiness_visible(self):
-        result = channel_study.fig1_burst_arrivals(
-            duration=30.0, window=(20.0, 20.3))
-        assert result.times.size > 10
-        # bursty arrivals: mean burst carries more than one packet
-        assert result.stats.summary()["mean_size_bytes"] > 1400
+        holds("fig1", "burstiness_visible")
 
 
 class TestFig2:
     def test_four_configurations(self):
-        result = channel_study.fig2_burst_pdfs(duration=60.0)
-        assert set(result.stats) == {"du_3g", "etisalat_3g", "du_lte",
-                                     "etisalat_lte"}
+        holds("fig2", "four_configurations")
 
     def test_lte_smaller_more_frequent_bursts(self):
-        result = channel_study.fig2_burst_pdfs(duration=60.0)
-        for operator in ("du", "etisalat"):
-            b3g = result.stats[f"{operator}_3g"]
-            lte = result.stats[f"{operator}_lte"]
-            assert (np.mean(lte.inter_arrivals)
-                    < np.mean(b3g.inter_arrivals))
+        holds("fig2", "lte_smaller_more_frequent_bursts")
 
     def test_pdfs_nonempty(self):
-        result = channel_study.fig2_burst_pdfs(duration=60.0)
-        for label, (centers, density) in result.size_pdfs.items():
-            assert centers.size > 0
-            assert np.all(density >= 0)
+        holds("fig2", "pdfs_nonempty")
 
 
 class TestFig3:
     def test_contention_raises_delay(self):
-        result = channel_study.fig3_competing_traffic(duration=120.0)
-        for row in result.rows:
-            assert row["avg_delay_on_ms"] > row["avg_delay_off_ms"]
+        holds("fig3", "contention_raises_delay")
 
     def test_near_saturation_is_worst(self):
-        """The 10 Mbps user (combined ≈ capacity) suffers the biggest jump."""
-        result = channel_study.fig3_competing_traffic(duration=120.0)
-        jumps = [row["avg_delay_on_ms"] - row["avg_delay_off_ms"]
-                 for row in result.rows]
-        assert jumps[-1] == max(jumps)
-        assert jumps[-1] > 4 * max(jumps[0], 1.0)
+        holds("fig3", "near_saturation_is_worst")
 
 
 class TestFig4:
     def test_smaller_windows_more_variable(self):
-        result = channel_study.fig4_throughput_windows(duration=60.0)
-        cv100 = result.variability(result.window_100ms[1])
-        cv20 = result.variability(result.window_20ms[1])
-        assert cv20 > cv100 > 0.2
+        holds("fig4", "smaller_windows_more_variable")
 
     def test_predictors_do_not_tame_the_channel(self):
-        """§3: no simple predictor achieves small relative error."""
-        result = channel_study.fig4_throughput_windows(duration=60.0)
-        for row in result.predictor_rows:
-            if row["series"].startswith("20ms"):
-                assert row["rmse_vs_naive"] > 0.4
+        holds("fig4", "predictors_do_not_tame_the_channel")
 
 
 class TestFig5And7:
-    @pytest.fixture(scope="class")
-    def study(self):
-        return profile_study.run_profile_study(duration=45.0,
-                                               cell_rate_bps=15e6)
+    def test_profile_is_increasing_overall(self):
+        holds("fig5", "profile_is_increasing_overall")
 
-    def test_profile_is_increasing_overall(self, study):
-        prof = study.final_profile
-        assert prof.windows.size >= 10
-        assert prof.delays_ms[-1] > prof.delays_ms[0]
+    def test_snapshots_accumulate(self):
+        holds("fig7", "snapshots_accumulate")
 
-    def test_snapshots_accumulate(self, study):
-        assert len(study.snapshots) >= 5
-        assert study.interpolations >= len(study.snapshots)
-
-    def test_profile_steepness_finite(self, study):
-        assert np.isfinite(study.final_profile.steepness)
+    def test_profile_steepness_finite(self):
+        holds("fig5", "profile_steepness_finite")
 
 
+@pytest.mark.slow
 class TestFig10:
-    @pytest.mark.slow
     def test_scatter_has_all_protocols(self):
-        points = tracedriven.fig10_mobility(
-            flows=3, duration=20.0, scenarios=("campus_pedestrian",))
-        protocols = {p.protocol for p in points}
-        assert protocols == {"cubic", "newreno", "verus_r2", "verus_r4",
-                             "verus_r6"}
+        holds("fig10", "scatter_has_all_protocols")
 
-    @pytest.mark.slow
     def test_verus_r2_much_lower_delay_than_cubic(self):
-        points = tracedriven.fig10_mobility(
-            flows=5, duration=40.0, scenarios=("campus_pedestrian",))
-        rows = tracedriven.summarize_fig10(points)
-        by_proto = {r["protocol"]: r for r in rows}
-        assert (by_proto["verus_r2"]["mean_delay_ms"]
-                < by_proto["cubic"]["mean_delay_ms"] / 2.5)
+        holds("fig10", "verus_r2_much_lower_delay_than_cubic")
 
 
+@pytest.mark.slow
 class TestTable1:
-    @pytest.mark.slow
     def test_fairness_in_valid_range(self):
-        rows = tracedriven.table1_fairness(
-            user_counts=(2, 5), scenarios=("campus_pedestrian",),
-            duration=25.0)
-        for row in rows:
-            for key, value in row.items():
-                if key != "users":
-                    assert 0.0 < value <= 1.0
+        holds("table1", "fairness_in_valid_range")
 
     def test_verus_reasonable_at_contention(self):
-        rows = tracedriven.table1_fairness(
-            user_counts=(5,), scenarios=("campus_pedestrian",),
-            duration=30.0)
-        assert rows[0]["verus_r2"] > 0.5
+        holds("table1", "verus_reasonable_at_contention")
 
 
 @pytest.mark.slow
 class TestFig11:
     def test_scenario_ii_verus_at_least_sprout(self):
-        # Short smoke duration: a single random schedule can favour either
-        # protocol over 2 minutes; the full-length benchmark asserts the
-        # strict ordering.  Here we require Verus to stay in contention.
-        result = micro.fig11_rapid_change("II", duration=120.0)
-        assert (result.stats["verus"]["throughput_bps"]
-                >= 0.75 * result.stats["sprout"]["throughput_bps"])
+        holds("fig11", "scenario_ii_verus_at_least_sprout")
 
     def test_scenario_i_cap_hurts_sprout(self):
-        result = micro.fig11_rapid_change("I", duration=80.0)
-        # Average capacity ~55 Mbps; capped Sprout cannot pass ~18.
-        assert result.stats["sprout"]["throughput_bps"] < 20e6
-        assert (result.stats["verus"]["throughput_bps"]
-                > 1.3 * result.stats["sprout"]["throughput_bps"])
+        holds("fig11", "scenario_i_cap_hurts_sprout")
 
     def test_invalid_scenario(self):
         with pytest.raises(ValueError):
             micro.fig11_rapid_change("III")
 
 
+@pytest.mark.slow
 class TestFig15:
-    @pytest.mark.slow
     def test_updating_profile_keeps_delay_low(self):
-        rows = tracedriven.fig15_static_profile(
-            scenarios=("city_driving", "shopping_mall"), flows=3,
-            duration=40.0)
-        delay_ratio = tracedriven.fig15_delay_ratio(rows)
-        assert delay_ratio < 1.1   # updating never costs delay
-        # Delay-efficiency must not regress vs the frozen profile.
-        gain = tracedriven.fig15_gain(rows)
-        assert gain / delay_ratio > 0.8
+        holds("fig15", "updating_profile_keeps_delay_low",
+              "delay_efficiency_holds")
 
 
 class TestSensitivity:
     def test_epoch_sweep_shapes(self):
-        rows = sensitivity.sweep_epoch(epochs=(0.005, 0.05), duration=20.0)
-        assert len(rows) == 2
-        assert all(r["mean_throughput_mbps"] > 0 for r in rows)
+        holds("sensitivity", "epoch_sweep_shapes")
 
     def test_delta_sweep_runs(self):
-        rows = sensitivity.sweep_deltas(pairs=((0.001, 0.002),),
-                                        duration=15.0)
-        assert rows[0]["setting"] == "d1_2ms"
+        holds("sensitivity", "delta_sweep_runs")
 
     def test_update_interval_sweep_runs(self):
-        rows = sensitivity.sweep_update_interval(intervals=(1.0,),
-                                                 duration=15.0)
-        assert len(rows) == 1
+        holds("sensitivity", "update_interval_sweep_runs")
