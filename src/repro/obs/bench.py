@@ -503,11 +503,8 @@ _register(BenchmarkDef(
     name="sprout.forecast", kind="micro",
     summary="Sprout belief update + cautious horizon budget per tick",
     setup=_setup_sprout_forecast, run=_run_sprout_forecast,
-    # Quick mode keeps every tick uncensored: censored observations need
-    # scipy's gammainc, and the CI bench lane runs on numpy alone.  Full
-    # mode (the local A/B gate) exercises the censored tail path too.
     params={"quick": {"ticks": 300, "max_packets": 40,
-                      "censored_frac": 0.0, "rate_cap_bps": 18e6,
+                      "censored_frac": 0.3, "rate_cap_bps": 18e6,
                       "seed": 11},
             "full": {"ticks": 1200, "max_packets": 40,
                      "censored_frac": 0.3, "rate_cap_bps": 18e6,

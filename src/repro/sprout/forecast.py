@@ -40,13 +40,67 @@ except ImportError:  # pragma: no cover - numpy < 2
 # reduction, same floats).
 _sum = np.add.reduce
 
-# scipy is only needed for censored (tail-likelihood) observations; the
-# import lives here so the per-tick censored branch doesn't re-run the
-# import machinery, but its absence only bites if that branch is hit.
-try:
-    from scipy.special import gammainc as _gammainc
-except ImportError:  # pragma: no cover - numpy-only environment
-    _gammainc = None
+# One Poisson upper-tail table per rate grid, shared by every belief on
+# that grid in the process (keyed by the grid's bytes).
+_TAIL_TABLES: dict = {}
+
+
+def poisson_tail_table(rates: np.ndarray) -> np.ndarray:
+    """Read-only table ``tails[k, i] = P(Poisson(rates[i]) >= k)``.
+
+    Rows run from k = 0 to λ_max + 12·√λ_max.  Each column is a
+    reverse cumulative sum of the Poisson pmf, so the tail is summed
+    directly rather than taken as 1 − cdf (which loses all relative
+    precision in the small upper tails the posterior depends on).  The
+    pmf comes from the ratio recurrence p(j)/p(j−1) = λ/j anchored at
+    each column's mode, so nothing under- or overflows for any λ, and
+    the column is normalised by its own total; the sum runs on to
+    λ_max + 24·√λ_max so the truncated remainder is negligible even
+    relative to the smallest tail served.  Built once per grid.
+    """
+    key = rates.tobytes()
+    tails = _TAIL_TABLES.get(key)
+    if tails is None:
+        lam_max = float(rates.max())
+        served = int(math.ceil(lam_max + 12.0 * math.sqrt(lam_max))) + 1
+        rows = int(math.ceil(lam_max + 24.0 * math.sqrt(lam_max))) + 1
+        j = np.arange(rows, dtype=float)[:, None]
+        mode = np.floor(rates)
+        # w[j] = p(j)/p(mode): climbing factors λ/j above the mode …
+        w = np.where(j > mode, rates / np.maximum(j, 1.0), 1.0)
+        np.multiply.accumulate(w, axis=0, out=w)
+        # … and descending factors j/λ below it, multiplied in from the
+        # mode downwards (w[j] takes the product over rows j+1..mode).
+        down = np.where((j > 0) & (j <= mode), j / rates, 1.0)
+        down = np.multiply.accumulate(down[::-1], axis=0)[::-1]
+        w[:-1] *= down[1:]
+        tails = np.add.accumulate(w[::-1], axis=0)[::-1]
+        tails = tails[:served] / tails[0]
+        tails.flags.writeable = False
+        _TAIL_TABLES[key] = tails
+    return tails
+
+
+def poisson_tail(k: int, rates: np.ndarray) -> np.ndarray:
+    """P(Poisson(λ) >= k) for every λ in ``rates`` (a log-spaced grid).
+
+    Counts inside :func:`poisson_tail_table` are a row lookup.  Beyond
+    it, every rate sits well below k, so the tail is the pmf at k times
+    a fast-converging series of ratios λ/(k+i), summed in log space.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    tails = poisson_tail_table(rates)
+    if k < tails.shape[0]:
+        return tails[k]
+    ratio = float(rates.max()) / (k + 1)
+    terms = int(math.ceil(-40.0 / math.log(ratio)))
+    series = np.multiply.accumulate(
+        rates / np.arange(k + 1, k + 1 + terms, dtype=float)[:, None], axis=0)
+    log_tail = (k * np.log(rates) - rates - math.lgamma(k + 1)
+                + np.log1p(_sum(series, axis=0)))
+    return np.exp(log_tail)
+
 
 #: Sprout's tick length (seconds).
 TICK_SECONDS = 0.020
@@ -84,11 +138,12 @@ class RateBelief:
         self._kernel = kernel / kernel.sum()
         self._kernel_rev = np.ascontiguousarray(self._kernel[::-1])
         self._log_rates_col = self.log_rates
-        # Likelihood rows (point mass and censored tail alike) are
-        # deterministic in the packet count, so each distinct count is
-        # built once and reused; rows are never mutated after insertion.
+        # Point-mass likelihood rows are deterministic in the packet
+        # count, so each distinct count is built once and reused; rows are
+        # never mutated after insertion.  Censored ticks read the grid's
+        # shared tail table, fetched on the first one.
         self._lik_cache: dict = {}
-        self._tail_cache: dict = {}
+        self._tails: Optional[np.ndarray] = None
         self._posterior = np.empty(bins)
         # One-slot evolution memo: the forecaster's first horizon step
         # computes exactly normalize(correlate(prob, kernel)) — the same
@@ -132,16 +187,12 @@ class RateBelief:
         if censored:
             if packets == 0:
                 return  # "at least zero" carries no information
-            likelihood = self._tail_cache.get(packets)
-            if likelihood is None:
-                if _gammainc is None:
-                    raise ImportError(
-                        "scipy is required for censored Sprout observations")
-                # P(Poisson(λ) >= k)
-                likelihood = _gammainc(packets, self.rates)
-                if len(self._tail_cache) >= 4096:
-                    self._tail_cache.clear()
-                self._tail_cache[packets] = likelihood
+            tails = self._tails
+            if tails is None:
+                tails = self._tails = poisson_tail_table(self.rates)
+            # P(Poisson(λ) >= k)
+            likelihood = (tails[packets] if packets < tails.shape[0]
+                          else poisson_tail(packets, self.rates))
         else:
             likelihood = self._lik_cache.get(packets)
             if likelihood is None:

@@ -12,6 +12,7 @@ from repro.sprout import (
     SproutSender,
     TICK_SECONDS,
 )
+from repro.sprout.forecast import poisson_tail, poisson_tail_table
 
 
 class TestRateBelief:
@@ -280,7 +281,9 @@ class _ReferenceForecaster:
     """The forecaster exactly as written before the batched-horizon
     rewrite: per-step ``np.convolve`` + ``np.cumsum`` + ``searchsorted``,
     no likelihood caches, no horizon buffers.  Kept verbatim so any
-    float-level drift in the optimised path fails ``==`` below."""
+    float-level drift in the optimised path fails ``==`` below; only its
+    censored likelihood calls the shipped :func:`poisson_tail`, which
+    :class:`TestPoissonTail` checks on its own."""
 
     def __init__(self, min_rate=0.05, max_rate=300.0, bins=192,
                  evolve_sigma=0.18, tick=TICK_SECONDS, target_delay=0.100,
@@ -314,8 +317,7 @@ class _ReferenceForecaster:
         if censored:
             if packets == 0:
                 return
-            from scipy.special import gammainc
-            likelihood = gammainc(packets, self.rates)
+            likelihood = poisson_tail(packets, self.rates)
         else:
             log_lik = (packets * self.log_rates - self.rates
                        - math.lgamma(packets + 1))
@@ -400,7 +402,7 @@ class TestForecasterEquivalence:
     def test_flat_reset_path_matches(self):
         """An observation far outside the belief's support zeroes the
         posterior; both implementations must take the same flat-reset
-        branch (and the censored tail cache must store the zero row)."""
+        branch (the beyond-table tail must underflow to a zero row)."""
         new = SproutForecaster()
         ref = _ReferenceForecaster()
         for _ in range(40):
@@ -425,5 +427,72 @@ class TestForecasterEquivalence:
         for packets in [6, 6, 6]:
             assert new.on_tick(packets, censored=True) == \
                 ref.on_tick(packets, censored=True)
-        assert 6 in new.belief._tail_cache
+        # Censored ticks read the grid's one shared table: another belief
+        # on the same grid picks up the very same array.
+        assert new.belief._tails is poisson_tail_table(new.belief.rates)
+        other = RateBelief()
+        other.observe(6, censored=True)
+        assert other._tails is new.belief._tails
         assert np.array_equal(new.belief.prob, ref.prob)
+
+
+# ----------------------------------------------------------------------
+# The censored-tick likelihood P(Poisson(λ) >= k)
+# ----------------------------------------------------------------------
+class TestPoissonTail:
+    """The numpy-only Poisson upper tail behind censored observations."""
+
+    rates = RateBelief().rates
+
+    def test_closed_forms_for_k_one_and_two(self):
+        lam = self.rates
+        one = -np.expm1(-lam)
+        two = one - lam * np.exp(-lam)
+        np.testing.assert_allclose(poisson_tail(1, lam), one, rtol=1e-13,
+                                   atol=0)
+        np.testing.assert_allclose(poisson_tail(2, lam), two, rtol=1e-13,
+                                   atol=0)
+        assert np.all(poisson_tail(0, lam) == 1.0)
+
+    def test_matches_scipy_gammainc(self):
+        special = pytest.importorskip("scipy.special")
+        served = poisson_tail_table(self.rates).shape[0]
+        for k in [*range(1, 501), served, served + 1, 600, 1000]:
+            want = special.gammainc(k, self.rates)
+            got = poisson_tail(k, self.rates)
+            normal = want > 1e-290
+            np.testing.assert_allclose(got[normal], want[normal],
+                                       rtol=1e-11, atol=0, err_msg=f"k={k}")
+            assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-290)
+
+    def test_counts_past_the_table_stay_a_tail(self):
+        served = poisson_tail_table(self.rates).shape[0]
+        ks = list(range(served - 3, served + 60)) + [1000, 5000]
+        rows = np.array([poisson_tail(k, self.rates) for k in ks])
+        assert np.all(np.isfinite(rows))
+        assert np.all((rows >= 0) & (rows <= 1))
+        assert np.all(np.diff(rows, axis=0) <= 0)
+        # Far past every rate on the grid the tail underflows to zero.
+        assert np.all(rows[-1] == 0)
+
+    def test_table_is_shared_and_read_only(self):
+        table = poisson_tail_table(self.rates)
+        assert poisson_tail_table(RateBelief().rates) is table
+        assert poisson_tail_table(RateBelief(bins=64).rates) is not table
+        # Rows cover λ_max + 12·sqrt(λ_max) and start at P(X >= 0) = 1.
+        lam_max = self.rates[-1]
+        assert table.shape[0] > lam_max + 12 * np.sqrt(lam_max)
+        assert np.all(table[0] == 1.0)
+        with pytest.raises(ValueError):
+            table[1, 0] = 0.5
+        with pytest.raises(ValueError):
+            poisson_tail(-1, self.rates)
+
+    def test_rates_beyond_exp_range_do_not_collapse(self):
+        """exp(-λ) underflows past λ ≈ 745, yet the mode-anchored table
+        keeps a proper distribution: the tail halves near the mean."""
+        belief = RateBelief(min_rate=1.0, max_rate=5000.0, bins=16)
+        table = poisson_tail_table(belief.rates)
+        lam = belief.rates[-1]
+        assert table[int(lam)][-1] == pytest.approx(0.5, abs=0.02)
+        assert np.all(np.isfinite(table))
