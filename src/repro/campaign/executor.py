@@ -19,10 +19,11 @@ Failure semantics
   deterministically-crashing cell exhausts its retries and is marked
   failed while its innocent neighbours complete on the fresh pool.
 * **Timeout** — enforced in pooled mode only (a serial in-process run
-  cannot preempt itself).  In-flight occupancy is capped at ``jobs`` so
-  every submitted task starts immediately and the deadline can be
-  measured from submission.  A timed-out future is abandoned (its late
-  result, if any, is discarded) and the cell is marked ``timeout``
+  cannot preempt itself).  Each future carries exactly one task, and
+  in-flight occupancy is capped at ``jobs``, so every submitted task
+  starts immediately and its deadline is measured from submission.  A
+  timed-out future is abandoned (its late result, if any, is
+  discarded) and the cell is marked ``timeout``
   without retry — a deterministic hang would only burn workers again.
 * **Supervised kill** — a ``supervisor`` (e.g. the resilience
   subsystem's :class:`~repro.resilience.watchdog.WorkerWatchdog`) may
@@ -106,28 +107,22 @@ class RunResult:
 
 @dataclass
 class _InFlight:
-    #: ``(index, attempts)`` per chunk member, in submission order.
-    members: List[tuple]
+    index: int
+    attempts: int
     submitted: float
-    deadline: Optional[float]
 
 
-def _run_chunk(task_fn: Callable[[Any], Any],
-               payloads: Sequence[Any]) -> List[tuple]:
-    """Worker-side chunk runner: execute each member payload in order,
-    timing it and catching its exception, so one future carries a whole
-    batch without one member's failure poisoning its siblings.
+def _run_one(task_fn: Callable[[Any], Any], payload: Any) -> tuple:
+    """Worker-side wrapper: run one payload, timing it and catching its
+    exception inside the worker, so ``TaskOutcome.seconds`` is the
+    task's own run time rather than time since submission.
     Module-level so :class:`ProcessPoolExecutor` can pickle it."""
-    markers = []
-    for payload in payloads:
-        started = time.monotonic()
-        try:
-            result = task_fn(payload)
-        except Exception as exc:
-            markers.append(("err", repr(exc), time.monotonic() - started))
-        else:
-            markers.append(("ok", result, time.monotonic() - started))
-    return markers
+    started = time.monotonic()
+    try:
+        result = task_fn(payload)
+    except Exception as exc:
+        return "err", repr(exc), time.monotonic() - started
+    return "ok", result, time.monotonic() - started
 
 
 def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
@@ -137,8 +132,7 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
               keys: Optional[Sequence[Optional[str]]] = None,
               resume: bool = True,
               progress: Optional[ProgressFn] = None,
-              supervisor: Optional[Any] = None,
-              chunk: Optional[int] = None) -> RunResult:
+              supervisor: Optional[Any] = None) -> RunResult:
     """Run ``task_fn`` over ``payloads`` and return per-task outcomes.
 
     ``task_fn`` must be a module-level callable (picklable) when
@@ -155,14 +149,9 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
     pool breaks, to attribute the break), and ``release(index)`` is
     called whenever a task leaves flight.
 
-    ``chunk`` (pooled mode only) batches that many payloads per
-    submitted future to amortise pickling and future bookkeeping at
-    sweep scale.  ``None`` picks a size automatically (1 for small
-    grids).  Semantics stay per-task: each member is timed, retried and
-    supervised individually; a chunk's deadline is ``timeout`` times its
-    member count, and a timed-out multi-member chunk is split into
-    singleton requeues (no attempt burned) so a genuinely hung cell
-    times out terminally on its own.
+    In pooled mode every future carries exactly one payload, so each
+    task has its own deadline (``timeout`` seconds from submission), its
+    own worker-side timing and its own supervisor registration.
     """
     n = len(payloads)
     if keys is None:
@@ -217,8 +206,7 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
                 finish(TaskOutcome(index=index, key=key, status="cached",
                                    result=record["result"]))
                 continue
-        # (index, attempts, solo) — solo entries are dispatched alone.
-        pending.append((index, 0, False))
+        pending.append((index, 0))
 
     if not pending:
         return RunResult([o for o in outcomes if o is not None], stats)
@@ -228,14 +216,14 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
                     stats, finish)
     else:
         _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
-                  backoff, stats, finish, supervisor, chunk)
+                  backoff, stats, finish, supervisor)
     return RunResult([o for o in outcomes if o is not None], stats)
 
 
 def _run_serial(pending, payloads, keys, task_fn, retries, backoff,
                 stats, finish) -> None:
     while pending:
-        index, attempts, _solo = pending.popleft()
+        index, attempts = pending.popleft()
         started = time.monotonic()
         try:
             result = task_fn(payloads[index])
@@ -243,7 +231,7 @@ def _run_serial(pending, payloads, keys, task_fn, retries, backoff,
             if attempts < retries:
                 stats.retries += 1
                 time.sleep(backoff * (attempts + 1))
-                pending.appendleft((index, attempts + 1, False))
+                pending.appendleft((index, attempts + 1))
                 continue
             finish(TaskOutcome(index=index, key=keys[index], status="failed",
                                error=repr(exc), attempts=attempts + 1,
@@ -255,8 +243,7 @@ def _run_serial(pending, payloads, keys, task_fn, retries, backoff,
 
 
 def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
-              backoff, stats, finish, supervisor=None,
-              chunk=None) -> None:
+              backoff, stats, finish, supervisor=None) -> None:
     pool = ProcessPoolExecutor(max_workers=jobs)
     inflight: Dict[Any, _InFlight] = {}
     abandoned = 0   # timed-out futures whose workers are still busy
@@ -272,44 +259,22 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
         if supervisor is not None:
             supervisor.release(index)
 
-    def chunk_size() -> int:
-        if chunk is not None:
-            return max(1, chunk)
-        # Auto: batch only when the backlog dwarfs the worker count (~8
-        # waves per worker stay unbatched, so small grids keep per-task
-        # parallelism), capped to bound the blast radius of one chunk.
-        return max(1, min(16, len(pending) // (8 * jobs)))
-
     try:
         while pending or inflight:
             while freed:
                 if freed.popleft() == generation:
                     abandoned = max(0, abandoned - 1)
             # In-flight is capped at the worker count (minus any workers
-            # still burning on abandoned tasks), so a submitted chunk
+            # still burning on abandoned tasks), so a submitted task
             # starts at once and its deadline runs from submission.
             while pending and len(inflight) + abandoned < jobs:
-                size = chunk_size()
-                index, attempts, solo = pending.popleft()
-                members = [(index, attempts)]
-                if not solo:
-                    while len(members) < size and pending \
-                            and not pending[0][2]:
-                        nxt_index, nxt_attempts, _ = pending.popleft()
-                        members.append((nxt_index, nxt_attempts))
-                now = time.monotonic()
-                member_payloads = []
-                for m_index, m_attempts in members:
-                    payload = payloads[m_index]
-                    if supervisor is not None:
-                        payload = supervisor.wrap(m_index, m_attempts,
-                                                  payload)
-                    member_payloads.append(payload)
-                future = pool.submit(_run_chunk, task_fn, member_payloads)
-                inflight[future] = _InFlight(
-                    members=members, submitted=now,
-                    deadline=None if timeout is None
-                    else now + timeout * len(members))
+                index, attempts = pending.popleft()
+                payload = payloads[index]
+                if supervisor is not None:
+                    payload = supervisor.wrap(index, attempts, payload)
+                future = pool.submit(_run_one, task_fn, payload)
+                inflight[future] = _InFlight(index, attempts,
+                                             time.monotonic())
             if not inflight:
                 # Every worker is burning on an abandoned task; idle
                 # until one frees up rather than busy-spinning.
@@ -332,79 +297,73 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
                              if supervisor is not None else {})
                 return kills
 
-            def casualty(m_index: int, m_attempts: int,
-                         elapsed: float) -> None:
-                """One in-flight chunk member lost to a broken pool."""
-                release(m_index)
+            def casualty(info: _InFlight) -> None:
+                """One in-flight task lost to a broken pool."""
+                index, attempts = info.index, info.attempts
+                elapsed = time.monotonic() - info.submitted
+                release(index)
                 blame = attributed_kills()
-                if m_index in blame:
+                if index in blame:
                     # The supervisor shot this task's worker: it alone
                     # consumes an attempt, with capped backoff.
-                    if m_attempts < retries:
+                    if attempts < retries:
                         stats.retries += 1
-                        time.sleep(min(backoff * (2 ** m_attempts),
+                        time.sleep(min(backoff * (2 ** attempts),
                                        KILL_BACKOFF_CAP))
-                        pending.append((m_index, m_attempts + 1, False))
+                        pending.append((index, attempts + 1))
                     else:
                         finish(TaskOutcome(
-                            index=m_index, key=keys[m_index],
-                            status="failed", error=blame[m_index],
-                            attempts=m_attempts + 1, seconds=elapsed))
+                            index=index, key=keys[index],
+                            status="failed", error=blame[index],
+                            attempts=attempts + 1, seconds=elapsed))
                 elif blame:
                     # Attributed break, innocent sibling: requeue free.
-                    pending.append((m_index, m_attempts, False))
+                    pending.append((index, attempts))
                 else:
-                    _requeue_or_fail(m_index, m_attempts, pending, keys,
+                    _requeue_or_fail(index, attempts, pending, keys,
                                      retries, stats, finish, elapsed,
                                      "worker process died")
 
             for future in done:
                 info = inflight.pop(future)
-                elapsed = time.monotonic() - info.submitted
+                index, attempts = info.index, info.attempts
                 try:
-                    markers = future.result()
+                    status, value, seconds = future.result()
                 except BrokenProcessPool:
                     pool_broken = True
-                    for m_index, m_attempts in info.members:
-                        casualty(m_index, m_attempts, elapsed)
+                    casualty(info)
+                    continue
                 except CancelledError:
                     # Only reachable when a breaking pool cancelled queued
                     # siblings; treat like any other casualty.
-                    for m_index, m_attempts in info.members:
-                        release(m_index)
-                        _requeue_or_fail(m_index, m_attempts, pending,
-                                         keys, retries, stats, finish,
-                                         elapsed, "cancelled by pool")
+                    release(index)
+                    _requeue_or_fail(index, attempts, pending, keys,
+                                     retries, stats, finish,
+                                     time.monotonic() - info.submitted,
+                                     "cancelled by pool")
+                    continue
+                release(index)
+                if status == "ok":
+                    finish(TaskOutcome(
+                        index=index, key=keys[index], status="ok",
+                        result=value, attempts=attempts + 1,
+                        seconds=seconds))
+                elif attempts < retries:
+                    stats.retries += 1
+                    time.sleep(backoff * (attempts + 1))
+                    pending.append((index, attempts + 1))
                 else:
-                    # The chunk runner caught per-member exceptions, so a
-                    # future that resolves carries one marker per member.
-                    for (m_index, m_attempts), marker \
-                            in zip(info.members, markers):
-                        release(m_index)
-                        status, value, seconds = marker
-                        if status == "ok":
-                            finish(TaskOutcome(
-                                index=m_index, key=keys[m_index],
-                                status="ok", result=value,
-                                attempts=m_attempts + 1, seconds=seconds))
-                        elif m_attempts < retries:
-                            stats.retries += 1
-                            time.sleep(backoff * (m_attempts + 1))
-                            pending.append((m_index, m_attempts + 1, False))
-                        else:
-                            finish(TaskOutcome(
-                                index=m_index, key=keys[m_index],
-                                status="failed", error=value,
-                                attempts=m_attempts + 1, seconds=seconds))
+                    finish(TaskOutcome(
+                        index=index, key=keys[index], status="failed",
+                        error=value, attempts=attempts + 1,
+                        seconds=seconds))
             if pool_broken:
                 # Every sibling in flight is poisoned too: requeue them
                 # (the attributed offender — or, unattributed, each one,
                 # since any could be the killer — consumes an attempt)
                 # and rebuild the pool.
-                for future, info in list(inflight.items()):
-                    elapsed = time.monotonic() - info.submitted
-                    for m_index, m_attempts in info.members:
-                        casualty(m_index, m_attempts, elapsed)
+                for info in inflight.values():
+                    casualty(info)
                 inflight.clear()
                 abandoned = 0
                 generation += 1
@@ -415,33 +374,23 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
             if timeout is not None:
                 now = time.monotonic()
                 for future, info in list(inflight.items()):
-                    if info.deadline is not None and now > info.deadline \
+                    if now - info.submitted > timeout \
                             and not future.cancel():
                         # Still running: abandon it. The worker frees up
-                        # whenever the chunk eventually returns; its late
+                        # whenever the task eventually returns; its late
                         # result is discarded with the future.
                         del inflight[future]
                         abandoned += 1
                         future.add_done_callback(
                             lambda f, q=freed, g=generation:
                                 (_noteless(f), q.append(g)))
-                        if len(info.members) > 1:
-                            # No way to tell which member hung: requeue
-                            # every member alone without burning an
-                            # attempt; a genuinely hung cell then times
-                            # out terminally as a singleton.
-                            for m_index, m_attempts in info.members:
-                                release(m_index)
-                                pending.append((m_index, m_attempts, True))
-                        else:
-                            m_index, m_attempts = info.members[0]
-                            release(m_index)
-                            finish(TaskOutcome(
-                                index=m_index, key=keys[m_index],
-                                status="timeout",
-                                error=f"timed out after {timeout:g}s",
-                                attempts=m_attempts + 1,
-                                seconds=now - info.submitted))
+                        release(info.index)
+                        finish(TaskOutcome(
+                            index=info.index, key=keys[info.index],
+                            status="timeout",
+                            error=f"timed out after {timeout:g}s",
+                            attempts=info.attempts + 1,
+                            seconds=now - info.submitted))
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -450,7 +399,7 @@ def _requeue_or_fail(index: int, attempts: int, pending, keys, retries,
                      stats, finish, elapsed: float, reason: str) -> None:
     if attempts < retries:
         stats.retries += 1
-        pending.append((index, attempts + 1, False))
+        pending.append((index, attempts + 1))
     else:
         finish(TaskOutcome(index=index, key=keys[index],
                            status="failed", error=reason,
@@ -491,8 +440,7 @@ def run_campaign(spec, *, jobs: int = 1,
                  timeout: Optional[float] = None,
                  retries: int = 1, backoff: float = 0.25,
                  collect_timings: bool = False,
-                 progress: Optional[ProgressFn] = None,
-                 chunk: Optional[int] = None) -> CampaignResult:
+                 progress: Optional[ProgressFn] = None) -> CampaignResult:
     """Expand a :class:`CampaignSpec` (or take a pre-expanded task list)
     and run every cell through the engine.
 
@@ -521,6 +469,6 @@ def run_campaign(spec, *, jobs: int = 1,
                     jobs=jobs, timeout=timeout, retries=retries,
                     backoff=backoff, store=store,
                     keys=[t.key() for t in tasks], resume=resume,
-                    progress=progress, chunk=chunk)
+                    progress=progress)
     return CampaignResult(tasks=tasks, outcomes=run.outcomes,
                           stats=run.stats, store=store)

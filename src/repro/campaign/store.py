@@ -38,12 +38,8 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        # Lazy in-memory key index: one directory scan on first lookup,
-        # then every known-miss is answered without touching the
-        # filesystem.  ``put`` keeps it current; keys written by *other*
-        # processes after the scan are simply treated as misses, which
-        # costs a redundant execution, never a wrong result.
-        self._index: Optional[set] = None
+        # No in-memory key set: every lookup opens the record file, so a
+        # record another store or process wrote is a hit at once.
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -63,40 +59,12 @@ class ResultStore:
             for record in sorted(shard.glob("*.json")):
                 yield record.stem
 
-    def _scan_keys(self) -> set:
-        index = set()
-        try:
-            shards = os.scandir(self.root)
-        except OSError:
-            return index
-        with shards:
-            for shard in shards:
-                if not shard.is_dir():
-                    continue
-                try:
-                    records = os.scandir(shard.path)
-                except OSError:
-                    continue
-                with records:
-                    for record in records:
-                        name = record.name
-                        if name.endswith(".json"):
-                            index.add(name[:-5])
-        return index
-
     def get(self, key: str) -> Optional[dict]:
         """Return the stored record for ``key`` or None, updating the
-        hit/miss counters.  Corrupt or format-incompatible records count
-        as misses rather than raising."""
-        index = self._index
-        if index is None:
-            index = self._index = self._scan_keys()
-        if key not in index:
-            self.misses += 1
-            return None
-        path = self._path(key)
+        hit/miss counters.  Missing, corrupt or format-incompatible
+        records count as misses rather than raising."""
         try:
-            with path.open("r", encoding="utf-8") as fh:
+            with self._path(key).open("r", encoding="utf-8") as fh:
                 record = json.load(fh)
         except (OSError, json.JSONDecodeError):
             self.misses += 1
@@ -133,8 +101,6 @@ class ResultStore:
                 pass
             raise
         self.writes += 1
-        if self._index is not None:
-            self._index.add(key)
         self._append_index(key, task)
         return path
 

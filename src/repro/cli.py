@@ -168,8 +168,7 @@ def _run_sweep(args) -> int:
     result = run_campaign(tasks, jobs=args.jobs, store=store,
                           resume=args.resume, timeout=args.timeout,
                           retries=args.retries, progress=progress,
-                          collect_timings=args.telemetry,
-                          chunk=args.chunk)
+                          collect_timings=args.telemetry)
     rows = aggregate_campaign(result.tasks, result.outcomes)
     print(format_table(rows, title="campaign summary (mean over seeds, "
                                    "95% CI)"))
@@ -683,9 +682,6 @@ def main(argv=None) -> int:
                             "deterministically from it (default 0)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1: serial)")
-    sweep.add_argument("--chunk", type=int, default=None,
-                       help="payloads dispatched per pooled future "
-                            "(default: auto; batches only large grids)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-task timeout in seconds (pooled runs only)")
     sweep.add_argument("--retries", type=int, default=1,

@@ -182,6 +182,20 @@ class TestResultStore:
         assert len(lines) == 2
         assert json.loads(lines[1])["scenario"] == "b"
 
+    def test_get_sees_records_another_store_wrote(self, tmp_path):
+        # Two stores on one root stand in for two processes sharing a
+        # cache: a record B writes after A's first lookup must be a hit
+        # for A, consistent with ``in``.
+        a, b = ResultStore(tmp_path), ResultStore(tmp_path)
+        k1, k2 = "67" * 32, "89" * 32
+        assert a.get(k1) is None
+        b.put(k2, {"scenario": "x"}, {"value": 2})
+        assert k2 in a
+        record = a.get(k2)
+        assert record is not None
+        assert record["result"] == {"value": 2}
+        assert a.stats() == {"hits": 1, "misses": 1, "writes": 0}
+
 
 class TestAggregation:
     def test_mean_ci_single_observation(self):

@@ -11,8 +11,6 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.campaign import ResultStore, run_tasks
 
 
@@ -45,6 +43,19 @@ def crashy_task(payload):
         time.sleep(0.4)
         os._exit(17)
     time.sleep(0.05)
+    return payload["value"]
+
+
+def heartbeat_sleep_task(payload):
+    """Heartbeats while it sleeps and silences the beacon on the way
+    out, like ``run_soak_cell``."""
+    from repro.resilience.watchdog import Heartbeat
+
+    heartbeat = Heartbeat.from_directive(payload["_heartbeat"]).start()
+    try:
+        time.sleep(payload["sleep"])
+    finally:
+        heartbeat.stop()
     return payload["value"]
 
 
@@ -105,6 +116,14 @@ class TestPooledExecution:
         assert "timed out" in run.outcomes[0].error
         assert run.stats.timeouts == 1
         assert by_status == {"timeout", "ok"}
+
+    def test_seconds_is_the_task_run_time(self):
+        # Four ~0.3 s tasks on two workers.  The second wave starts
+        # ~0.3 s into the run, so a clock started any earlier than the
+        # task itself (at the run's start, say) would read ~0.6 s.
+        run = run_tasks([{"sleep": 0.3}] * 4, sleep_task, jobs=2)
+        assert run.all_ok
+        assert all(0.25 < o.seconds < 0.5 for o in run.outcomes)
 
     def test_worker_exception_is_isolated(self):
         payloads = [{"value": 1}, {"value": 2}, {"value": 3}]
@@ -251,7 +270,7 @@ def pid_stuck_task(payload):
 class _PidKillSupervisor:
     """Minimal duck-typed supervisor: SIGKILLs whichever worker wrote
     the pidfile and attributes the kill to ``offender`` — enough to
-    exercise the executor's blame-aware chunk-casualty path without the
+    exercise the executor's blame-aware casualty path without the
     full watchdog."""
 
     def __init__(self, pidfile, offender):
@@ -286,80 +305,11 @@ class _PidKillSupervisor:
         pass
 
 
-class TestChunkedDispatch:
-    """The failure matrix again, with several payloads per future: batch
-    transport must not change per-task retry/timeout/blame semantics."""
+class TestSupervisedRecovery:
+    """Pool breaks with several tasks in flight: retries, blame and
+    heartbeats stay per task."""
 
-    @pytest.mark.parametrize("chunk", [2, 3])
-    def test_results_in_input_order(self, chunk):
-        run = run_tasks([{"value": i} for i in range(7)], echo_task,
-                        jobs=2, chunk=chunk)
-        assert [o.result for o in run.outcomes] == list(range(7))
-        assert run.stats.executed == 7
-
-    def test_member_exception_isolated_within_chunk(self):
-        payloads = [{"value": 0}, {"value": 1}, {"value": 2}, {"value": 3}]
-        run = run_tasks(payloads, crashy_task, jobs=2, chunk=2, retries=0)
-        ok = run_tasks([{"value": 0}, {"value": 1}], boom_task,
-                       jobs=2, chunk=2, retries=0)
-        assert [o.result for o in run.outcomes] == [0, 1, 2, 3]
-        assert all(o.status == "failed" for o in ok.outcomes)
-        assert "boom:0" in ok.outcomes[0].error
-        assert ok.stats.failed == 2
-
-    def test_retry_then_succeed_inside_chunks(self, tmp_path):
-        payloads = [{"sentinel": str(tmp_path / f"s{i}")} for i in range(4)]
-        run = run_tasks(payloads, flaky_task, jobs=2, chunk=2,
-                        retries=1, backoff=0.01)
-        assert all(o.status == "ok" for o in run.outcomes)
-        assert all(o.attempts == 2 for o in run.outcomes)
-        assert run.stats.retries == 4
-
-    def test_chunk_timeout_splits_to_solo_without_burning_attempts(self):
-        # Chunk [0,1]: member 0 sleeps past the chunk deadline
-        # (timeout x members = 1.0 s) so both members are requeued
-        # *solo* with no attempt burned; the sleeper then times out
-        # terminally as a singleton while its innocent chunk-mate
-        # completes with attempts == 1.
-        payloads = [{"sleep": 2.5}, {"sleep": 0.05},
-                    {"sleep": 0.05}, {"sleep": 0.05}]
-        run = run_tasks(payloads, sleep_task, jobs=2, chunk=2,
-                        timeout=0.5, retries=1, backoff=0.01)
-        by_index = {o.index: o for o in run.outcomes}
-        assert by_index[0].status == "timeout"
-        assert by_index[0].attempts == 1          # split burned nothing
-        assert "timed out" in by_index[0].error
-        for i in (1, 2, 3):
-            assert by_index[i].status == "ok"
-            assert by_index[i].result == "slept"
-            assert by_index[i].attempts == 1
-        assert run.stats.timeouts == 1
-        assert run.stats.retries == 0
-        stats = run.stats
-        assert stats.executed + stats.failed + stats.timeouts \
-            + stats.cached == stats.total == 4
-
-    def test_worker_death_fails_chunk_mates_unattributed(self):
-        # Without a supervisor the break cannot be blamed, so *every*
-        # member in flight — including the crasher's innocent chunk-mate
-        # — consumes an attempt; with retries=0 both fail while cells in
-        # other chunks complete on the rebuilt pool.
-        payloads = [{"crash": True, "value": 0}] + \
-                   [{"value": i} for i in range(1, 6)]
-        run = run_tasks(payloads, crashy_task, jobs=2, chunk=2,
-                        retries=0, backoff=0.01)
-        by_index = {o.index: o for o in run.outcomes}
-        assert by_index[0].status == "failed"
-        assert "died" in by_index[0].error
-        assert by_index[1].status == "failed"     # rode with the crasher
-        assert [by_index[i].result for i in range(2, 6)] == \
-            list(range(2, 6))
-        assert run.stats.pool_restarts >= 1
-        stats = run.stats
-        assert stats.executed + stats.failed + stats.timeouts \
-            + stats.cached == stats.total == 6
-
-    def test_one_shot_crasher_chunk_recovers_on_retry(self, tmp_path):
+    def test_one_shot_crasher_recovers_on_retry(self, tmp_path):
         innocents = []
         for i in range(1, 6):
             sentinel = tmp_path / f"ok{i}"
@@ -367,24 +317,29 @@ class TestChunkedDispatch:
             innocents.append({"sentinel": str(sentinel), "value": i})
         payloads = [{"sentinel": str(tmp_path / "c0"), "value": 0}] \
             + innocents
-        run = run_tasks(payloads, crash_once_task, jobs=2, chunk=2,
+        run = run_tasks(payloads, crash_once_task, jobs=2,
                         retries=1, backoff=0.01)
         by_index = {o.index: o for o in run.outcomes}
         assert [by_index[i].result for i in range(6)] == list(range(6))
         assert by_index[0].attempts == 2
-        assert run.stats.retries >= 2             # crasher + chunk-mate
+        # The crasher's retry, plus one per sibling still in flight when
+        # the unattributed break hit.
+        assert run.stats.retries >= 1
         assert run.stats.pool_restarts >= 1
         stats = run.stats
         assert stats.executed + stats.failed + stats.timeouts \
             + stats.cached == stats.total == 6
 
-    def test_supervisor_kill_blames_only_offending_chunk_member(
-            self, tmp_path):
+    def test_supervisor_kill_blames_only_the_offender(self, tmp_path):
+        # The offender hangs on one worker while an innocent sibling is
+        # in flight on the other; each kill requeues that sibling
+        # without burning its attempt, and the offender alone burns both
+        # of its attempts.
         pidfile = str(tmp_path / "pid")
         supervisor = _PidKillSupervisor(pidfile, offender=0)
         payloads = [{"stuck": True, "pidfile": pidfile, "value": 0}] + \
                    [{"value": i} for i in range(1, 4)]
-        run = run_tasks(payloads, pid_stuck_task, jobs=2, chunk=2,
+        run = run_tasks(payloads, pid_stuck_task, jobs=2,
                         retries=1, timeout=30.0, backoff=0.01,
                         supervisor=supervisor)
         by_index = {o.index: o for o in run.outcomes}
@@ -397,3 +352,23 @@ class TestChunkedDispatch:
             assert by_index[i].attempts == 1      # innocents never burned
         assert run.stats.retries == 1             # only the offender's
         assert run.stats.pool_restarts >= 2
+
+    def test_watchdog_spares_workers_between_back_to_back_tasks(
+            self, tmp_path):
+        # One slow task among many quick ones, under a real watchdog.
+        # Every task stops its heartbeat when it returns, as soak cells
+        # do; a finished task must leave the watchdog's books at once,
+        # or its silent beacon reads as a hang while the same worker is
+        # still busy and the worker is shot.
+        from repro.resilience.watchdog import WorkerWatchdog
+
+        dog = WorkerWatchdog(tmp_path / "hb", stall_after=0.3,
+                             poll_interval=0.05)
+        payloads = [{"sleep": 0.8 if i == 1 else 0.01, "value": i}
+                    for i in range(40)]
+        run = run_tasks(payloads, heartbeat_sleep_task, jobs=2,
+                        retries=1, backoff=0.01, supervisor=dog)
+        assert [o.status for o in run.outcomes] == ["ok"] * 40
+        assert [o.result for o in run.outcomes] == list(range(40))
+        assert dog.kills == []
+        assert run.stats.pool_restarts == 0
