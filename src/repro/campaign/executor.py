@@ -125,6 +125,17 @@ def _run_one(task_fn: Callable[[Any], Any], payload: Any) -> tuple:
     return "ok", result, time.monotonic() - started
 
 
+def _handed_off(payload: Any) -> Any:
+    """Stamp a payload that asks for span timings (``_timings``) with the
+    wall-clock moment it is handed to a worker, or called on the serial
+    path, as ``_submitted``: the worker's ``queue_wait_s`` is then its
+    hand-off wait, not its position in the backlog.  Each attempt is
+    stamped afresh, so a retry's wait starts at its own hand-off."""
+    if isinstance(payload, dict) and payload.get("_timings"):
+        payload = dict(payload, _submitted=time.time())
+    return payload
+
+
 def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
               jobs: int = 1, timeout: Optional[float] = None,
               retries: int = 1, backoff: float = 0.25,
@@ -226,7 +237,7 @@ def _run_serial(pending, payloads, keys, task_fn, retries, backoff,
         index, attempts = pending.popleft()
         started = time.monotonic()
         try:
-            result = task_fn(payloads[index])
+            result = task_fn(_handed_off(payloads[index]))
         except Exception as exc:
             if attempts < retries:
                 stats.retries += 1
@@ -269,7 +280,7 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
             # starts at once and its deadline runs from submission.
             while pending and len(inflight) + abandoned < jobs:
                 index, attempts = pending.popleft()
-                payload = payloads[index]
+                payload = _handed_off(payloads[index])
                 if supervisor is not None:
                     payload = supervisor.wrap(index, attempts, payload)
                 future = pool.submit(_run_one, task_fn, payload)
@@ -461,10 +472,8 @@ def run_campaign(spec, *, jobs: int = 1,
         store = ResultStore(cache_dir)
     payloads = [t.to_dict() for t in tasks]
     if collect_timings:
-        submitted = time.time()
         for payload in payloads:
             payload["_timings"] = True
-            payload["_submitted"] = submitted
     run = run_tasks(payloads, run_simulation_task,
                     jobs=jobs, timeout=timeout, retries=retries,
                     backoff=backoff, store=store,

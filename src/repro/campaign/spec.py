@@ -293,8 +293,9 @@ def run_simulation_task(payload: dict) -> dict:
     Underscore-prefixed payload keys are runtime directives, not part of
     the task spec: ``_timings`` asks for per-task span timings (queue
     wait, trace generation, simulation run) under ``"timings"`` in the
-    summary, and ``_submitted`` carries the submission wall-clock stamp
-    the queue wait is measured against.
+    summary, and ``_submitted`` carries the wall-clock stamp the executor
+    set when it handed this payload over, which the queue wait is
+    measured against.
     """
     import time as _time
 

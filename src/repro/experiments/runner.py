@@ -17,7 +17,8 @@ benchmarks stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from ..tcp import (
     TcpReceiver,
     VegasSender,
 )
+
+if TYPE_CHECKING:
+    from ..faults.spec import FaultSchedule
 
 PROTOCOL_NAMES = ("verus", "cubic", "newreno", "vegas", "sprout",
                   "pcc", "ledbat", "compound", "binomial")
@@ -117,6 +121,10 @@ class ExperimentResult:
     #: ...) alongside the human-readable reason string above, so triage
     #: does not have to parse prose.
     degraded_code: Optional[str] = None
+    #: Per-direction :class:`~repro.faults.injector.FaultStats` dicts
+    #: (``{"down": ..., "up": ...}``) when a fault schedule was applied.
+    #: Kept out of :meth:`summary`, which carries delivery statistics only.
+    fault_stats: Optional[dict] = None
 
     def deliveries(self, flow_id: int):
         return self.receivers[flow_id].deliveries
@@ -170,11 +178,14 @@ def summary_stats(summary: dict) -> List[FlowStats]:
 
 
 def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
-                  duration: float, default_rtt: float,
-                  warmup: float) -> ExperimentResult:
-    # ACKs on the clean reverse path are dead once the sender's handler
-    # returns, so every plain (fault-free) experiment recycles them.
-    bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt, ack_pool=True)
+                  duration: float, default_rtt: float, warmup: float,
+                  downlink=None, uplink=None) -> ExperimentResult:
+    # ACKs on a clean reverse path are dead once the sender's handler
+    # returns, so every fault-free experiment recycles them; an uplink
+    # hop (a fault injector) may hold ACKs across time, so it turns the
+    # freelist off.
+    bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt,
+                    ack_pool=uplink is None, downlink=downlink, uplink=uplink)
     senders, receivers = [], []
     for flow_id, spec in enumerate(specs):
         sender, receiver = make_endpoints(spec, flow_id)
@@ -182,9 +193,10 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
         senders.append(sender)
         receivers.append(receiver)
     # Telemetry seam: when a session is active (repro run/sweep
-    # --telemetry), attach timeline recorders to every flow.  The local
-    # import keeps repro.obs out of the hot import path, and the common
-    # no-session case costs one None check per experiment.
+    # --telemetry, the soak harness's flight recorder), attach timeline
+    # recorders to every flow.  The local import keeps repro.obs out of
+    # the hot import path, and the common no-session case costs one None
+    # check per experiment.
     from ..obs.timeline import current_session
     session = current_session()
     if session is not None:
@@ -201,19 +213,58 @@ def run_trace_contention(trace: np.ndarray, specs: Sequence[FlowSpec],
                          use_red: bool = True,
                          loss_rate: float = 0.0,
                          warmup: float = 5.0,
-                         seed: int = 0) -> ExperimentResult:
+                         seed: int = 0,
+                         faults: Optional[FaultSchedule] = None
+                         ) -> ExperimentResult:
     """§6.2 setup: flows share a replayed cellular trace behind RED.
 
     The RED queue uses the paper's parameters (min 3 Mbit, max 9 Mbit,
     drop probability 10%); ``access_delay`` models the core-network path
     between the server and the base station.
+
+    With a fault schedule, a downlink
+    :class:`~repro.faults.injector.FaultInjector` sits between the
+    bottleneck and the data demux and an uplink injector on the shared
+    acknowledgement path, after each flow's reverse delay.  The result
+    then carries the injectors' accounting as ``fault_stats`` and is
+    flagged ``degraded`` when the downlink never carried a packet after
+    the final blackout — the sim-side analogue of a live peer that died
+    and had to be torn down.  An empty schedule changes nothing.
     """
     sim = Simulator()
-    rng = np.random.default_rng(seed)
-    queue = REDQueue.paper_config(rng=rng) if use_red else None
+    # One stream per stochastic component.  The RED queue keeps the root
+    # stream, which draws exactly what default_rng(seed) does, so every
+    # fault-free result (and every pinned snapshot) is unchanged; the
+    # link's stochastic loss and the two injectors take spawned children.
+    root = np.random.SeedSequence(seed)
+    queue = (REDQueue.paper_config(rng=np.random.default_rng(root))
+             if use_red else None)
+    link_seed, down_seed, up_seed = root.spawn(3)
     bottleneck = TraceLink(sim, trace, queue=queue, delay=access_delay,
-                           loop=True, loss_rate=loss_rate, rng=rng)
-    return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
+                           loop=True, loss_rate=loss_rate,
+                           rng=np.random.default_rng(link_seed))
+    if faults is None:
+        return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
+
+    from ..faults.injector import FaultInjector
+    down = FaultInjector(sim, faults, rng=np.random.default_rng(down_seed),
+                         direction="down")
+    up = FaultInjector(sim, faults, rng=np.random.default_rng(up_seed),
+                       direction="up")
+    result = _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup,
+                           downlink=down, uplink=up)
+    result.fault_stats = {"down": down.stats.as_dict(),
+                          "up": up.stats.as_dict()}
+    dark_until = faults.last_outage_end("down")
+    if dark_until is not None and dark_until < duration:
+        healed = any(any(d[0] >= dark_until for d in r.deliveries)
+                     for r in result.receivers)
+        if not healed:
+            result.degraded = True
+            result.degraded_code = "degraded"
+            result.degraded_reason = ("no downlink delivery after the "
+                                      f"blackout ended at t={dark_until:g}s")
+    return result
 
 
 def run_fixed_dumbbell(rate_bps: float, specs: Sequence[FlowSpec],

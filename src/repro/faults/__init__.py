@@ -3,9 +3,10 @@
 One :class:`FaultSchedule` describes the hostile channel — outages,
 burst loss, corruption, duplication, reordering storms, link flaps,
 clock jumps — and compiles sim-side to a composable
-:class:`FaultInjector` link and live-side to injection hooks in the UDP
-emulator, so the same scenario stresses the simulator and the
-real-socket path identically.  The chaos acceptance matrix
+:class:`FaultInjector` link (passed as
+``run_trace_contention(..., faults=schedule)``) and live-side to
+injection hooks in the UDP emulator, so the same scenario stresses the
+simulator and the real-socket path identically.  The chaos acceptance matrix
 (:func:`run_chaos_matrix`, ``repro chaos``) grids (protocol × fault ×
 seed) through the campaign executor and judges every cell on
 post-disruption recovery.
@@ -21,7 +22,6 @@ from .chaos import (
     run_chaos_task,
 )
 from .injector import FaultInjector, FaultStats
-from .sim import run_faulted_contention
 from .spec import (
     DIRECTIONS,
     FAULT_KINDS,
@@ -47,5 +47,4 @@ __all__ = [
     "make_schedule",
     "run_chaos_matrix",
     "run_chaos_task",
-    "run_faulted_contention",
 ]

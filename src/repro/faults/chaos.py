@@ -170,7 +170,7 @@ def run_chaos_task(payload: dict) -> dict:
     Module-level (not a closure) so the campaign pool can pickle it.
     """
     from ..cellular import generate_scenario_trace
-    from ..experiments.runner import repeat_flows
+    from ..experiments.runner import repeat_flows, run_trace_contention
 
     task = ChaosTask.from_dict(payload)
     schedule = task.schedule()
@@ -186,11 +186,10 @@ def run_chaos_task(payload: dict) -> dict:
                                        seed=task.seed)
 
     if task.backend == "sim":
-        from .sim import run_faulted_contention
-        result = run_faulted_contention(cell_trace(), specs, schedule,
-                                        duration=task.duration,
-                                        rtt=task.rtt, warmup=task.warmup,
-                                        seed=task.seed)
+        result = run_trace_contention(cell_trace(), specs,
+                                      duration=task.duration,
+                                      rtt=task.rtt, warmup=task.warmup,
+                                      seed=task.seed, faults=schedule)
     else:
         from ..live.session import run_live_session
         result = run_live_session(specs, trace=cell_trace(),
@@ -220,14 +219,14 @@ def run_chaos_task(payload: dict) -> dict:
     return {
         "task": task.to_dict(),
         "summary": result.summary(),
-        "fault_stats": getattr(result, "fault_stats", None),
+        "fault_stats": result.fault_stats,
         "live_counters": getattr(result, "live_counters", None),
         "recovery": [r.to_dict() for r in recovery],
         "senders": senders,
         "recovered": all(r.recovered for r in recovery),
         "degraded": bool(result.degraded),
         "degraded_reason": result.degraded_reason,
-        "degraded_code": getattr(result, "degraded_code", None),
+        "degraded_code": result.degraded_code,
     }
 
 

@@ -65,10 +65,16 @@ class Dumbbell:
         off (the default) when anything on the reverse path retains
         packet references across time — e.g. fault injectors that delay,
         duplicate or replay ACKs.
+    downlink, uplink:
+        Optional shared hops, each exposing ``send(packet)`` and a
+        writable ``dst`` (e.g. a fault injector).  ``downlink`` sits
+        between the bottleneck and the data demux; ``uplink`` carries
+        every flow's acknowledgements after its reverse delay, ahead of
+        an ACK demux.
     """
 
     def __init__(self, sim: Simulator, bottleneck, default_rtt: float = 0.05,
-                 ack_pool: bool = False):
+                 ack_pool: bool = False, downlink=None, uplink=None):
         if default_rtt < 0:
             raise ValueError("default_rtt must be non-negative")
         self.sim = sim
@@ -76,7 +82,16 @@ class Dumbbell:
         self.default_rtt = default_rtt
         self.ack_pool = ack_pool
         self.demux = Demux()
-        self.bottleneck.dst = self.demux
+        if downlink is None:
+            self.bottleneck.dst = self.demux
+        else:
+            self.bottleneck.dst = downlink
+            downlink.dst = self.demux
+        self.uplink = uplink
+        self.ack_demux: Optional[Demux] = None
+        if uplink is not None:
+            self.ack_demux = Demux()
+            uplink.dst = self.ack_demux
         self.flows: List[FlowHandle] = []
 
     def add_flow(self, sender: SenderProtocol, receiver: ReceiverProtocol,
@@ -96,7 +111,11 @@ class Dumbbell:
             ack_sink = pooled_ack_sink(sender.on_ack, pool)
         else:
             ack_sink = sender.on_ack
-        reverse_path = DelayLine(self.sim, rtt / 2.0, dst=ack_sink)
+        if self.uplink is None:
+            reverse_path = DelayLine(self.sim, rtt / 2.0, dst=ack_sink)
+        else:
+            reverse_path = DelayLine(self.sim, rtt / 2.0, dst=self.uplink.send)
+            self.ack_demux.register(sender.flow_id, ack_sink)
 
         sender.attach(self.sim, forward_access.send)
         receiver.attach(self.sim, reverse_path.send)

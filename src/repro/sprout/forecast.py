@@ -330,9 +330,3 @@ class SproutForecaster:
                 rate = cap
             budget += rate
         return budget
-
-    def _apply_cap(self, rate_packets_per_tick: float) -> float:
-        if self.rate_cap_bps is None:
-            return rate_packets_per_tick
-        cap = self.rate_cap_bps * self.tick / (8.0 * self.packet_bytes)
-        return min(rate_packets_per_tick, cap)

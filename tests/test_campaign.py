@@ -251,6 +251,16 @@ class TestCampaignEndToEnd:
             aggregate_campaign(resumed.tasks, resumed.outcomes))
         assert resumed_rows == serial_rows
 
+    def test_queue_wait_is_the_hand_off_wait(self):
+        # Serially, each cell is handed over the moment it is called, so
+        # its queue wait must not include the cells that ran before it.
+        spec = tiny_spec(protocols=["cubic"], seeds=4)
+        result = run_campaign(spec, jobs=1, collect_timings=True)
+        assert result.all_ok and len(result.outcomes) == 4
+        waits = [o.result["timings"]["queue_wait_s"]
+                 for o in result.outcomes]
+        assert all(wait < 0.05 for wait in waits), waits
+
     def test_fresh_ignores_cache(self, tmp_path):
         spec = tiny_spec(protocols=["cubic"], seeds=1)
         store = ResultStore(tmp_path)

@@ -9,12 +9,13 @@ loopback emulator and checks the zero-silent-drop accounting.
 """
 
 import asyncio
+import json
 import socket
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import FlowSpec
+from repro.experiments.runner import FlowSpec, run_trace_contention
 from repro.faults import (
     FAULT_PRESETS,
     ChaosTask,
@@ -25,7 +26,6 @@ from repro.faults import (
     make_schedule,
     run_chaos_matrix,
     run_chaos_task,
-    run_faulted_contention,
 )
 from repro.faults.chaos import disruption_window
 from repro.metrics import recovery_stats
@@ -338,9 +338,28 @@ class TestFaultedContention:
         from repro.cellular import generate_scenario_trace
         trace = generate_scenario_trace("campus_stationary",
                                         duration=duration, seed=seed)
-        return run_faulted_contention(trace, [FlowSpec(protocol)], schedule,
-                                      duration=duration, warmup=1.0,
-                                      seed=seed)
+        return run_trace_contention(trace, [FlowSpec(protocol)],
+                                    duration=duration, warmup=1.0,
+                                    seed=seed, faults=schedule)
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.01])
+    def test_empty_schedule_matches_fault_free_run(self, loss_rate):
+        # The injectors draw from their own streams, so an empty schedule
+        # must leave the queue's and the link's draws — and therefore
+        # every delivery — exactly as the fault-free run has them, link
+        # loss included.
+        from repro.cellular import generate_scenario_trace
+        trace = generate_scenario_trace("campus_stationary", duration=6.0,
+                                        seed=3)
+        specs = [FlowSpec("verus"), FlowSpec("cubic")]
+
+        def summary(faults):
+            result = run_trace_contention(trace, specs, duration=6.0,
+                                          warmup=1.0, loss_rate=loss_rate,
+                                          seed=3, faults=faults)
+            return json.dumps(result.summary(), sort_keys=True).encode()
+
+        assert summary(FaultSchedule([])) == summary(None)
 
     def test_empty_schedule_is_healthy(self):
         result = self._run(FaultSchedule())
@@ -449,9 +468,9 @@ class TestLiveChaosAcceptance:
         ])
         trace = generate_scenario_trace("campus_stationary",
                                         duration=4.0, seed=11)
-        sim_result = run_faulted_contention(trace, [FlowSpec("verus")],
-                                            sched, duration=4.0,
-                                            warmup=0.5, seed=11)
+        sim_result = run_trace_contention(trace, [FlowSpec("verus")],
+                                          duration=4.0, warmup=0.5,
+                                          seed=11, faults=sched)
         assert sim_result.fault_stats["down"]["blackout_drops"] > 0
 
         live = run_live_session([FlowSpec("verus")], trace=trace,

@@ -6,8 +6,9 @@ event ordering, therefore byte-identical results.  This module pins that
 contract two ways:
 
 1. A seed-pinned experiment matrix — {verus, sprout, cubic} senders over
-   three synthetic cellular traces, each with and without an injected
-   fault schedule — whose canonical-JSON ``ExperimentResult.summary()``
+   three synthetic cellular traces, each through ``run_trace_contention``
+   with and without an injected fault schedule (``faults=``) — whose
+   canonical-JSON ``ExperimentResult.summary()``
    payloads are committed under ``tests/golden/perf_equivalence/`` and
    compared **byte for byte** on every run.  Any change to the scheduler,
    packet freelist, trace-link replay schedule, interpolation caches or
@@ -23,12 +24,18 @@ contract two ways:
 Re-blessing (only after an *intentional* behaviour change)::
 
     REPRO_BLESS=1 PYTHONPATH=src python -m pytest tests/test_perf_equivalence.py
+
+Blessing rewrites only the snapshots whose bytes changed and emits one
+``UserWarning`` naming each rewritten case, so the pytest warnings
+summary lists exactly which cells moved.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,7 +52,6 @@ from repro.check import (
 )
 from repro.experiments import FlowSpec, repeat_flows, run_trace_contention
 from repro.faults import FaultEvent, FaultSchedule
-from repro.faults.sim import run_faulted_contention
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "perf_equivalence"
 BLESS = os.environ.get("REPRO_BLESS") == "1"
@@ -88,13 +94,9 @@ def _run_case(protocol: str, trace_name: str, faulted: bool) -> dict:
                                     technology="3g", seed=seed)
     options = {"r": 2.0} if protocol == "verus" else {}
     specs = [FlowSpec(protocol=protocol, options=options)]
-    if faulted:
-        result = run_faulted_contention(trace, specs, FAULTS,
-                                        duration=DURATION, warmup=WARMUP,
-                                        seed=seed)
-    else:
-        result = run_trace_contention(trace, specs, duration=DURATION,
-                                      warmup=WARMUP, seed=seed)
+    result = run_trace_contention(trace, specs, duration=DURATION,
+                                  warmup=WARMUP, seed=seed,
+                                  faults=FAULTS if faulted else None)
     return result.summary()
 
 
@@ -128,8 +130,11 @@ def _run_gap_case() -> dict:
 def _assert_matches_snapshot(case_id: str, payload: bytes) -> None:
     snapshot = GOLDEN_DIR / f"{case_id}.json"
     if BLESS:
+        if snapshot.exists() and snapshot.read_bytes() == payload:
+            return
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         snapshot.write_bytes(payload)
+        warnings.warn(f"re-blessed snapshot {case_id}", UserWarning)
         return
     assert snapshot.exists(), (
         f"missing snapshot {snapshot.name}; bless with REPRO_BLESS=1")
@@ -178,3 +183,22 @@ def test_check_goldens_still_compare_clean(protocol):
     assert golden is not None
     assert compare_golden(golden, scenario, run.rows) == []
     assert run.report.monitors_violated() == []
+
+
+def test_bless_rewrites_only_changed_snapshots(tmp_path, monkeypatch):
+    """Under REPRO_BLESS=1 an unchanged snapshot is left alone and each
+    rewritten one is named in a warning, so a re-bless reports exactly
+    which cases moved."""
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(module, "BLESS", True)
+    held = tmp_path / "held.json"
+    held.write_bytes(b"same\n")
+    mtime = held.stat().st_mtime_ns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        module._assert_matches_snapshot("held", b"same\n")
+        module._assert_matches_snapshot("moved", b"new\n")
+    assert held.stat().st_mtime_ns == mtime
+    assert (tmp_path / "moved.json").read_bytes() == b"new\n"
+    assert [str(w.message) for w in caught] == ["re-blessed snapshot moved"]
