@@ -32,9 +32,10 @@ def run_mixed(queue_factory, duration=60.0, seed=33):
     specs = ([FlowSpec("verus", label="verus", options={"r": 2.0})
               for _ in range(3)]
              + [FlowSpec("cubic", label="cubic") for _ in range(3)])
+    flow_seeds = np.random.SeedSequence(seed).spawn(len(specs))
     receivers = []
-    for flow_id, spec in enumerate(specs):
-        sender, receiver = make_endpoints(spec, flow_id)
+    for flow_id, (spec, flow_seed) in enumerate(zip(specs, flow_seeds)):
+        sender, receiver = make_endpoints(spec, flow_id, flow_seed)
         bell.add_flow(sender, receiver)
         receivers.append((spec.label, receiver))
     sim.run(until=duration)

@@ -124,10 +124,9 @@ class CompetingUser:
 class CellularChannelModel:
     """Generates delivery-opportunity traces from :class:`ChannelParams`."""
 
-    def __init__(self, params: ChannelParams,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, params: ChannelParams, rng: np.random.Generator):
         self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(1)
+        self.rng = rng
 
     # ------------------------------------------------------------------
     def generate(self, duration: float,

@@ -199,10 +199,12 @@ def _check_trace(scenario: CheckScenario) -> np.ndarray:
 def run_audited(scenario: CheckScenario) -> AuditedRun:
     """Run ``scenario`` with every invariant monitor attached."""
     sim = Simulator()
-    rng = np.random.default_rng(scenario.seed)
+    # The link draws from the root stream, the flow from its one child.
+    root = np.random.SeedSequence(scenario.seed)
+    rng = np.random.default_rng(root)
     spec = FlowSpec(protocol=_flow_protocol(scenario.protocol),
                     options=dict(scenario.options))
-    sender, receiver = make_endpoints(spec, 0)
+    sender, receiver = make_endpoints(spec, 0, root.spawn(1)[0])
 
     queue = DropTailQueue(capacity_bytes=scenario.queue_bytes)
     if scenario.bottleneck == "trace":

@@ -17,7 +17,7 @@ benchmarks stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -71,15 +71,23 @@ class FlowSpec:
             self.label = self.protocol
 
 
-def make_endpoints(spec: FlowSpec, flow_id: int
+def make_endpoints(spec: FlowSpec, flow_id: int,
+                   seed: np.random.SeedSequence
                    ) -> Tuple[SenderProtocol, ReceiverProtocol]:
-    """Instantiate the sender/receiver pair for a flow spec."""
+    """Instantiate the sender/receiver pair for a flow spec.
+
+    ``seed`` is the flow's own child of the run's seed tree (see
+    :func:`seed_tree`); a protocol that draws random numbers builds its
+    Generator from it, so no two flows share a stream.
+    """
     opts = dict(spec.options)
     if spec.protocol == "verus":
         config = opts.pop("config", None)
+        transfer_bytes = opts.pop("transfer_bytes", None)
         if config is None:
             config = VerusConfig(**opts)
-        return VerusSender(flow_id, config), VerusReceiver(flow_id)
+        return (VerusSender(flow_id, config, transfer_bytes=transfer_bytes),
+                VerusReceiver(flow_id))
     if spec.protocol == "cubic":
         return CubicSender(flow_id, **opts), TcpReceiver(flow_id)
     if spec.protocol == "newreno":
@@ -93,7 +101,8 @@ def make_endpoints(spec: FlowSpec, flow_id: int
         return (SproutSender(flow_id, **sender_opts),
                 SproutReceiver(flow_id, forecaster))
     if spec.protocol == "pcc":
-        return PccSender(flow_id, **opts), PccReceiver(flow_id)
+        return (PccSender(flow_id, rng=np.random.default_rng(seed), **opts),
+                PccReceiver(flow_id))
     if spec.protocol == "ledbat":
         return LedbatSender(flow_id, **opts), TcpReceiver(flow_id)
     if spec.protocol == "compound":
@@ -177,7 +186,34 @@ def summary_stats(summary: dict) -> List[FlowStats]:
     return [FlowStats.from_dict(flow["stats"]) for flow in summary["flows"]]
 
 
+class SeedTree(NamedTuple):
+    """Every seed stream of one §6.2 run, all descended from
+    ``SeedSequence(seed)``.
+
+    The RED queue draws from the root itself, which makes exactly the
+    draws ``default_rng(seed)`` does.  The link's stochastic loss and the
+    downlink and uplink fault injectors take the first three spawned
+    children, and each flow one child after those.  The simulator and
+    the live path both seed through :func:`seed_tree`, so one seed hands
+    the same stream to the same component on either backend.
+    """
+
+    queue: np.random.SeedSequence
+    link: np.random.SeedSequence
+    down: np.random.SeedSequence
+    up: np.random.SeedSequence
+    flows: List[np.random.SeedSequence]
+
+
+def seed_tree(seed: int, flows: int) -> SeedTree:
+    """The :class:`SeedTree` of a run with ``flows`` flows."""
+    root = np.random.SeedSequence(seed)
+    link, down, up = root.spawn(3)
+    return SeedTree(root, link, down, up, root.spawn(flows))
+
+
 def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
+                  flow_seeds: Sequence[np.random.SeedSequence],
                   duration: float, default_rtt: float, warmup: float,
                   downlink=None, uplink=None) -> ExperimentResult:
     # ACKs on a clean reverse path are dead once the sender's handler
@@ -187,8 +223,8 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
     bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt,
                     ack_pool=uplink is None, downlink=downlink, uplink=uplink)
     senders, receivers = [], []
-    for flow_id, spec in enumerate(specs):
-        sender, receiver = make_endpoints(spec, flow_id)
+    for flow_id, (spec, flow_seed) in enumerate(zip(specs, flow_seeds)):
+        sender, receiver = make_endpoints(spec, flow_id, flow_seed)
         bell.add_flow(sender, receiver, rtt=spec.rtt, start_at=spec.start_at)
         senders.append(sender)
         receivers.append(receiver)
@@ -232,27 +268,23 @@ def run_trace_contention(trace: np.ndarray, specs: Sequence[FlowSpec],
     and had to be torn down.  An empty schedule changes nothing.
     """
     sim = Simulator()
-    # One stream per stochastic component.  The RED queue keeps the root
-    # stream, which draws exactly what default_rng(seed) does, so every
-    # fault-free result (and every pinned snapshot) is unchanged; the
-    # link's stochastic loss and the two injectors take spawned children.
-    root = np.random.SeedSequence(seed)
-    queue = (REDQueue.paper_config(rng=np.random.default_rng(root))
+    seeds = seed_tree(seed, len(specs))
+    queue = (REDQueue.paper_config(np.random.default_rng(seeds.queue))
              if use_red else None)
-    link_seed, down_seed, up_seed = root.spawn(3)
     bottleneck = TraceLink(sim, trace, queue=queue, delay=access_delay,
                            loop=True, loss_rate=loss_rate,
-                           rng=np.random.default_rng(link_seed))
+                           rng=np.random.default_rng(seeds.link))
     if faults is None:
-        return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
+        return _run_dumbbell(sim, bottleneck, specs, seeds.flows, duration,
+                             rtt, warmup)
 
     from ..faults.injector import FaultInjector
-    down = FaultInjector(sim, faults, rng=np.random.default_rng(down_seed),
+    down = FaultInjector(sim, faults, rng=np.random.default_rng(seeds.down),
                          direction="down")
-    up = FaultInjector(sim, faults, rng=np.random.default_rng(up_seed),
+    up = FaultInjector(sim, faults, rng=np.random.default_rng(seeds.up),
                        direction="up")
-    result = _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup,
-                           downlink=down, uplink=up)
+    result = _run_dumbbell(sim, bottleneck, specs, seeds.flows, duration,
+                           rtt, warmup, downlink=down, uplink=up)
     result.fault_stats = {"down": down.stats.as_dict(),
                           "up": up.stats.as_dict()}
     dark_until = faults.last_outage_end("down")
@@ -275,11 +307,13 @@ def run_fixed_dumbbell(rate_bps: float, specs: Sequence[FlowSpec],
                        seed: int = 0) -> ExperimentResult:
     """§7 setup: constant-rate Ethernet bottleneck (the tc testbed)."""
     sim = Simulator()
-    rng = np.random.default_rng(seed)
+    root = np.random.SeedSequence(seed)
     from ..netsim import DropTailQueue
     queue = DropTailQueue(capacity_bytes=queue_bytes)
-    bottleneck = Link(sim, rate_bps, queue=queue, loss_rate=loss_rate, rng=rng)
-    return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
+    bottleneck = Link(sim, rate_bps, queue=queue, loss_rate=loss_rate,
+                      rng=np.random.default_rng(root))
+    return _run_dumbbell(sim, bottleneck, specs, root.spawn(len(specs)),
+                         duration, rtt, warmup)
 
 
 def run_variable_dumbbell(schedule: LinkSchedule, specs: Sequence[FlowSpec],
@@ -289,11 +323,13 @@ def run_variable_dumbbell(schedule: LinkSchedule, specs: Sequence[FlowSpec],
                           seed: int = 0) -> ExperimentResult:
     """§7 "rapidly changing network": schedule-driven bottleneck."""
     sim = Simulator()
-    rng = np.random.default_rng(seed)
+    root = np.random.SeedSequence(seed)
     from ..netsim import DropTailQueue
     queue = DropTailQueue(capacity_bytes=queue_bytes)
-    bottleneck = VariableLink(sim, schedule, queue=queue, rng=rng)
-    return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
+    bottleneck = VariableLink(sim, schedule, queue=queue,
+                              rng=np.random.default_rng(root))
+    return _run_dumbbell(sim, bottleneck, specs, root.spawn(len(specs)),
+                         duration, rtt, warmup)
 
 
 def repeat_flows(protocol: str, count: int, label: Optional[str] = None,

@@ -14,44 +14,24 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cellular import generate_scenario_trace
-from ..core import VerusConfig, VerusReceiver, VerusSender
-from ..netsim import REDQueue, Simulator, TraceLink
-from ..netsim.topology import Dumbbell
-from ..tcp import CubicSender, NewRenoSender, TcpReceiver
+from .runner import FlowSpec, run_trace_contention
 
 #: Transfer sizes swept by default: a small web object up to a video chunk.
 DEFAULT_SIZES_BYTES = (50_000, 200_000, 1_000_000, 5_000_000)
 
 
-def _make_finite_flow(protocol: str, flow_id: int, size: int):
-    if protocol == "verus":
-        return (VerusSender(flow_id, VerusConfig(), transfer_bytes=size),
-                VerusReceiver(flow_id))
-    if protocol == "cubic":
-        return (CubicSender(flow_id, transfer_bytes=size),
-                TcpReceiver(flow_id))
-    if protocol == "newreno":
-        return (NewRenoSender(flow_id, transfer_bytes=size),
-                TcpReceiver(flow_id))
-    raise ValueError(f"short-flow experiment does not support {protocol!r}")
-
-
 def measure_fct(protocol: str, size_bytes: int, trace: np.ndarray,
                 rtt: float = 0.05, timeout: float = 120.0,
                 seed: int = 0) -> Optional[float]:
-    """Flow-completion time of one finite transfer over a trace.
+    """Flow-completion time of one finite transfer over a trace, on the
+    §6.2 dumbbell of :func:`~repro.experiments.runner.run_trace_contention`.
 
     Returns None when the transfer does not finish within ``timeout``.
     """
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    link = TraceLink(sim, trace, queue=REDQueue.paper_config(rng=rng),
-                     delay=0.005, loop=True, rng=rng)
-    bell = Dumbbell(sim, link, default_rtt=rtt)
-    sender, receiver = _make_finite_flow(protocol, 0, size_bytes)
-    bell.add_flow(sender, receiver)
-    sim.run(until=timeout)
-    return sender.completion_time
+    result = run_trace_contention(
+        trace, [FlowSpec(protocol, options={"transfer_bytes": size_bytes})],
+        duration=timeout, rtt=rtt, warmup=0.0, seed=seed)
+    return result.senders[0].completion_time
 
 
 def fct_sweep(sizes: Sequence[int] = DEFAULT_SIZES_BYTES,

@@ -105,7 +105,8 @@ class LinkEmulator:
     uplink_delay:
         Fixed delay applied to reverse-path (ACK) datagrams.
     loss_rate:
-        Residual stochastic loss applied per released data packet.
+        Residual stochastic loss applied per released data packet; needs
+        ``rng``.
     impairment:
         Optional wrapper from :mod:`repro.netsim.impairments` constructed
         with this emulator's clock; its ``dst`` is set to the emulator's
@@ -142,6 +143,8 @@ class LinkEmulator:
             raise ValueError("provide exactly one of trace or stepper")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1) (got {loss_rate})")
+        if loss_rate > 0.0 and rng is None:
+            raise ValueError("a stochastic loss rate needs a seeded rng")
         if downlink_delay < 0 or uplink_delay < 0:
             raise ValueError("delays must be non-negative")
         if gap_s <= 0:
@@ -168,7 +171,7 @@ class LinkEmulator:
         self.uplink_delay = uplink_delay
         self.loss_rate = loss_rate
         self.bytes_per_opportunity = int(bytes_per_opportunity)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.stepper_chunk = stepper_chunk
         if impairment is not None and faults is not None:
             raise ValueError("impairment and faults are mutually exclusive; "

@@ -42,7 +42,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..experiments.runner import ExperimentResult, FlowSpec, make_endpoints
+from ..experiments.runner import (ExperimentResult, FlowSpec, make_endpoints,
+                                  seed_tree)
 from ..netsim.queues import DropTailQueue, REDQueue
 from .clock import WallClock
 from .emulator import LinkEmulator
@@ -131,13 +132,10 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
                    host) -> ExperimentResult:
     loop = asyncio.get_running_loop()
     clock = WallClock(loop)
-    # Independent streams per stochastic component (queue, residual
-    # loss, downlink faults, uplink faults) — never one shared rng.
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    queue_rng, loss_rng, down_rng, up_rng = (
-        np.random.default_rng(s) for s in seeds)
+    # The simulator's seed tree: one stream per stochastic component.
+    seeds = seed_tree(seed, len(specs))
     if use_red:
-        queue = REDQueue.paper_config(rng=queue_rng)
+        queue = REDQueue.paper_config(np.random.default_rng(seeds.queue))
     else:
         queue = DropTailQueue(capacity_bytes=queue_bytes)
     impairment = (impairment_factory(clock)
@@ -146,18 +144,20 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
     down_faults = up_faults = None
     if fault_schedule is not None:
         from ..faults.injector import FaultInjector
-        down_faults = FaultInjector(clock, fault_schedule, rng=down_rng,
+        down_faults = FaultInjector(clock, fault_schedule,
+                                    rng=np.random.default_rng(seeds.down),
                                     direction="down",
                                     base_delay=downlink_delay,
                                     byte_corruption=True)
-        up_faults = FaultInjector(clock, fault_schedule, rng=up_rng,
+        up_faults = FaultInjector(clock, fault_schedule,
+                                  rng=np.random.default_rng(seeds.up),
                                   direction="up")
 
     emulator = LinkEmulator(
         clock, trace=trace, stepper=stepper, queue=queue,
         downlink_delay=downlink_delay, uplink_delay=uplink_delay,
-        loss_rate=loss_rate, rng=loss_rng, impairment=impairment,
-        faults=down_faults, uplink_faults=up_faults)
+        loss_rate=loss_rate, rng=np.random.default_rng(seeds.link),
+        impairment=impairment, faults=down_faults, uplink_faults=up_faults)
     receiver_host = LiveHost(clock, name="receiver-host")
     sender_host = LiveHost(clock, name="sender-host")
 
@@ -184,8 +184,8 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
         sender_host.peer = emulator.ingress_addr
         await sender_host.open((host, 0))
 
-        for flow_id, spec in enumerate(specs):
-            sender, receiver = make_endpoints(spec, flow_id)
+        for flow_id, (spec, flow_seed) in enumerate(zip(specs, seeds.flows)):
+            sender, receiver = make_endpoints(spec, flow_id, flow_seed)
             sender_host.add_sender(sender)
             receiver_host.add_receiver(receiver)
             senders.append(sender)

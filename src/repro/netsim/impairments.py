@@ -24,26 +24,21 @@ class JitterLink:
     Because each packet draws an independent extra delay, packets can
     overtake each other — this is the canonical reordering generator.
 
-    Pass a seeded ``rng`` for reproducible runs; it should be derived
-    from the scenario/flow seed (e.g. via ``SeedSequence.spawn``) so
-    each link in a topology gets its own stream.  When omitted, the
-    link draws a fresh OS-entropy stream — two unseeded links are never
-    correlated, but the run is not replayable.
+    ``rng`` is required: derive it from the scenario/flow seed (e.g. via
+    ``SeedSequence.spawn``) so each link in a topology gets its own
+    stream and every run can be replayed.
     """
 
     def __init__(self, sim: Simulator, base_delay: float,
                  jitter: float, dst: Optional[Destination] = None,
-                 rng: Optional[np.random.Generator] = None):
+                 *, rng: np.random.Generator):
         if base_delay < 0 or jitter < 0:
             raise ValueError("delays must be non-negative")
         self.sim = sim
         self.base_delay = base_delay
         self.jitter = jitter
         self.dst = dst
-        # A fixed default seed here would hand every unseeded instance
-        # the *same* stream — two jitter links in one topology would
-        # jitter in lockstep.  Fresh entropy keeps them independent.
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
 
     def send(self, packet: Packet) -> None:
         if self.dst is None:

@@ -58,6 +58,8 @@ class Link:
     loss_rate:
         Independent per-packet stochastic loss probability, applied at
         dequeue (models the cellular medium's non-congestion losses).
+    rng:
+        Seeded stream for the loss draws; required when ``loss_rate`` > 0.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, delay: float = 0.0,
@@ -70,13 +72,15 @@ class Link:
             raise ValueError(f"rate_bps must be positive (got {rate_bps})")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1) (got {loss_rate})")
+        if loss_rate > 0.0 and rng is None:
+            raise ValueError("a stochastic loss rate needs a seeded rng")
         self.sim = sim
         self.rate_bps = float(rate_bps)
         self.delay = float(delay)
         self.queue = queue if queue is not None else DropTailQueue()
         self.dst = dst
         self.loss_rate = float(loss_rate)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.name = name
         self._busy = False
         self.delivered = 0
@@ -185,6 +189,8 @@ class VariableLink(Link):
                  dst: Optional[Destination] = None,
                  rng: Optional[np.random.Generator] = None,
                  name: str = "varlink"):
+        if rng is None and any(p.loss_rate > 0.0 for p in schedule.phases):
+            raise ValueError("a stochastic loss rate needs a seeded rng")
         first = schedule.phases[0]
         super().__init__(sim, first.rate_bps, first.delay, queue=queue,
                          dst=dst, loss_rate=first.loss_rate, rng=rng, name=name)

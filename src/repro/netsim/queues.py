@@ -108,7 +108,7 @@ class REDQueue(DropTailQueue):
     def __init__(self, min_th_bytes: int, max_th_bytes: int,
                  max_p: float = 0.1, w_q: float = 0.002,
                  capacity_bytes: Optional[int] = None,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         if not 0 < min_th_bytes < max_th_bytes:
             raise ValueError("need 0 < min_th < max_th")
         if not 0 < max_p <= 1:
@@ -122,14 +122,14 @@ class REDQueue(DropTailQueue):
         self.max_th = max_th_bytes
         self.max_p = max_p
         self.w_q = w_q
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.avg = 0.0
         self._count = -1  # packets since last drop, -1 per RED pseudocode
         self._idle_since: Optional[float] = None
         self.early_drops = 0
 
     @classmethod
-    def paper_config(cls, rng: Optional[np.random.Generator] = None,
+    def paper_config(cls, rng: np.random.Generator,
                      **kwargs) -> "REDQueue":
         """RED queue with the paper's §6.2 parameters (3/9 Mbit, p=0.1)."""
         return cls(min_th_bytes=3_000_000 // 8, max_th_bytes=9_000_000 // 8,

@@ -44,7 +44,7 @@ class TraceLink:
         Replay the trace cyclically when the experiment outlives it.
     loss_rate:
         Independent stochastic loss applied per delivered packet, modelling
-        residual losses after link-layer retransmission.
+        residual losses after link-layer retransmission; needs ``rng``.
     gap_s:
         Continuation gap inserted at the trace-wraparound seam: when the
         trace repeats, the first opportunity of the next cycle follows the
@@ -74,6 +74,8 @@ class TraceLink:
             raise ValueError("trace timestamps must be non-negative")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1) (got {loss_rate})")
+        if loss_rate > 0.0 and rng is None:
+            raise ValueError("a stochastic loss rate needs a seeded rng")
         if gap_s <= 0:
             raise ValueError(f"gap_s must be positive (got {gap_s})")
         self.sim = sim
@@ -84,7 +86,7 @@ class TraceLink:
         self.bytes_per_opportunity = int(bytes_per_opportunity)
         self.loop = loop
         self.loss_rate = float(loss_rate)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.gap_s = float(gap_s)
         self.name = name
         self._origin = sim.now

@@ -44,7 +44,6 @@ from .meters import (
 from .profiler import SPANS_SCHEMA, Spans, profile_call, profile_hotpaths
 from .timeline import (
     TIMELINE_SCHEMA,
-    RingBuffer,
     TelemetrySession,
     TimelineRecorder,
     current_session,
@@ -58,7 +57,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MeterRegistry",
-    "RingBuffer",
     "SNAPSHOT_SCHEMA",
     "SPANS_SCHEMA",
     "Spans",

@@ -27,38 +27,6 @@ from .profiler import Spans
 TIMELINE_SCHEMA = "repro.timeline/1"
 
 
-class RingBuffer:
-    """Fixed-capacity append-only buffer keeping the most recent items."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive (got {capacity})")
-        self.capacity = capacity
-        self._items: List[Any] = []
-        self._head = 0          # insertion point once the buffer is full
-        self.appended = 0       # lifetime appends (>= len means wrapped)
-
-    def append(self, item: Any) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._head] = item
-            self._head = (self._head + 1) % self.capacity
-        self.appended += 1
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def dropped(self) -> int:
-        """Items that have been overwritten by wraparound."""
-        return self.appended - len(self._items)
-
-    def items(self) -> List[Any]:
-        """Items in append order (oldest retained first)."""
-        return self._items[self._head:] + self._items[:self._head]
-
-
 class TimelineRecorder:
     """Ring-buffered observer of control-law events.
 
@@ -96,8 +64,7 @@ class TimelineRecorder:
         """Raw fast path ``notify`` prefers over the named handlers: the
         emitter's packed fields dict arrives directly, with no second
         kwargs pack/unpack and no per-event-name attribute lookup.  The
-        ring logic is inlined rather than delegated to a
-        :class:`RingBuffer` — one less call per event on the hot path.
+        ring logic is inlined: one less call per event on the hot path.
 
         ``endpoint.flow_id`` is part of the observer-seam contract for
         recorded endpoints (both protocol base classes carry it)."""

@@ -87,7 +87,7 @@ class PccSender(SenderProtocol):
     def __init__(self, flow_id: int, initial_rate_pps: float = 100.0,
                  epsilon: float = 0.05, packet_bytes: int = MTU_BYTES,
                  min_rate_pps: float = 2.0, max_rate_pps: float = 50_000.0,
-                 seed: int = 0):
+                 *, rng: np.random.Generator):
         super().__init__(flow_id)
         if initial_rate_pps <= 0 or epsilon <= 0 or epsilon >= 0.5:
             raise ValueError("need initial rate > 0 and 0 < epsilon < 0.5")
@@ -97,7 +97,7 @@ class PccSender(SenderProtocol):
         self.epsilon = epsilon
         self.min_rate_pps = min_rate_pps
         self.max_rate_pps = max_rate_pps
-        self.rng = np.random.default_rng(seed)
+        self.rng = rng
         self.state = STARTING
         self._mi_counter = 0
         self._mis: Dict[int, MonitorInterval] = {}

@@ -82,7 +82,7 @@ class TestGeneration:
         assert not np.array_equal(gen(3), gen(4))
 
     def test_invalid_duration(self):
-        model = CellularChannelModel(ChannelParams())
+        model = CellularChannelModel(ChannelParams(), np.random.default_rng(1))
         with pytest.raises(ValueError):
             model.generate(0.0)
 

@@ -38,21 +38,32 @@ class TestFlowSpec:
     @pytest.mark.parametrize("protocol", ["verus", "cubic", "newreno",
                                           "vegas", "sprout"])
     def test_make_endpoints_all_protocols(self, protocol):
-        sender, receiver = make_endpoints(FlowSpec(protocol=protocol), 3)
+        sender, receiver = make_endpoints(FlowSpec(protocol=protocol), 3,
+                                          np.random.SeedSequence(0))
         assert sender.flow_id == 3
         assert receiver.flow_id == 3
 
     def test_verus_options_forwarded(self):
         sender, _ = make_endpoints(
-            FlowSpec(protocol="verus", options={"r": 6.0}), 0)
+            FlowSpec(protocol="verus", options={"r": 6.0}), 0,
+            np.random.SeedSequence(0))
         assert sender.config.r == 6.0
 
     def test_verus_config_object_accepted(self):
         from repro.core import VerusConfig
         config = VerusConfig(r=4.0)
         sender, _ = make_endpoints(
-            FlowSpec(protocol="verus", options={"config": config}), 0)
+            FlowSpec(protocol="verus", options={"config": config}), 0,
+            np.random.SeedSequence(0))
         assert sender.config is config
+
+    def test_verus_transfer_bytes_forwarded(self):
+        sender, _ = make_endpoints(
+            FlowSpec(protocol="verus",
+                     options={"r": 4.0, "transfer_bytes": 50_000}), 0,
+            np.random.SeedSequence(0))
+        assert sender.config.r == 4.0
+        assert sender.transfer_packets is not None
 
 
 class TestRunners:

@@ -158,16 +158,18 @@ class TestPccUtility:
 
 class TestPccSender:
     def test_converges_on_fixed_link(self):
-        stats = run_flow(PccSender(0), PccReceiver(0), duration=60.0)
+        stats = run_flow(PccSender(0, rng=np.random.default_rng(0)),
+                         PccReceiver(0), duration=60.0)
         assert stats.throughput_bps > 0.7 * 10e6
 
     def test_starting_phase_doubles(self):
-        sender = PccSender(0, initial_rate_pps=50.0)
+        sender = PccSender(0, initial_rate_pps=50.0,
+                           rng=np.random.default_rng(0))
         run_flow(sender, PccReceiver(0), duration=5.0)
         assert sender.rate_pps > 100.0
 
     def test_leaves_starting_state(self):
-        sender = PccSender(0)
+        sender = PccSender(0, rng=np.random.default_rng(0))
         run_flow(sender, PccReceiver(0), duration=30.0)
         assert sender.state in ("decision", "adjusting")
         assert sender.decisions > 0
@@ -176,7 +178,8 @@ class TestPccSender:
         sim = Simulator()
         link = Link(sim, rate_bps=10e6,
                     queue=DropTailQueue(capacity_bytes=200_000))
-        sender, receiver = PccSender(0), PccReceiver(0)
+        sender = PccSender(0, rng=np.random.default_rng(0))
+        receiver = PccReceiver(0)
         path = DirectPath(sim, link, sender, receiver, rtt=0.05)
         sim.schedule_at(30.0, lambda: setattr(link, "rate_bps", 2e6))
         path.run(90.0)
@@ -206,14 +209,15 @@ class TestPccSender:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PccSender(0, initial_rate_pps=0.0)
+            PccSender(0, initial_rate_pps=0.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            PccSender(0, epsilon=0.9)
+            PccSender(0, epsilon=0.9, rng=np.random.default_rng(0))
 
 
 class TestRunnerIntegration:
     @pytest.mark.parametrize("protocol", ["pcc", "ledbat", "compound",
                                           "binomial"])
     def test_make_endpoints(self, protocol):
-        sender, receiver = make_endpoints(FlowSpec(protocol=protocol), 5)
+        sender, receiver = make_endpoints(FlowSpec(protocol=protocol), 5,
+                                          np.random.SeedSequence(0))
         assert sender.flow_id == 5 and receiver.flow_id == 5

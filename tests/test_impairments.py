@@ -84,7 +84,8 @@ class TestImpairmentPrimitives:
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            JitterLink(sim, base_delay=-1.0, jitter=0.0)
+            JitterLink(sim, base_delay=-1.0, jitter=0.0,
+                       rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             ReorderingLink(sim, delay=0.0, every_n=1)
         with pytest.raises(ValueError):

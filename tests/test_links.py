@@ -96,6 +96,10 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(Simulator(), rate_bps=1e6, loss_rate=1.0)
 
+    def test_loss_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="seeded rng"):
+            Link(Simulator(), rate_bps=1e6, loss_rate=0.01)
+
     def test_missing_destination_raises(self):
         sim = Simulator()
         link = Link(sim, rate_bps=1e9)
@@ -156,6 +160,14 @@ class TestVariableLink:
         assert link.rate_bps == 1e6
         assert link.condition_changes == 2
 
+    def test_lossy_phase_without_rng_rejected(self):
+        schedule = LinkSchedule([
+            LinkPhase(duration=1.0, rate_bps=1e6, delay=0.0),
+            LinkPhase(duration=1.0, rate_bps=1e6, delay=0.0, loss_rate=0.01),
+        ])
+        with pytest.raises(ValueError, match="seeded rng"):
+            VariableLink(Simulator(), schedule)
+
     def test_faster_phase_speeds_delivery(self):
         sim = Simulator()
         sink, dst = collect()
@@ -169,6 +181,10 @@ class TestVariableLink:
 
 
 class TestTraceLink:
+    def test_loss_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="seeded rng"):
+            TraceLink(Simulator(), [0.01], loss_rate=0.01)
+
     def test_delivers_at_trace_instants(self):
         sim = Simulator()
         sink, dst = collect()

@@ -14,6 +14,7 @@ import pytest
 from repro.cellular import CellularChannelModel, ChannelParams, trace_rate_bps
 from repro.live import (
     WIRE_VERSION,
+    LinkEmulator,
     LiveSessionError,
     WallClock,
     WireFormatError,
@@ -157,8 +158,13 @@ class TestChannelStepper:
         step_rate = trace_rate_bps(inc)
         assert step_rate == pytest.approx(gen_rate, rel=0.35)
 
+    def test_emulator_loss_without_rng_rejected(self):
+        with pytest.raises(ValueError, match="seeded rng"):
+            LinkEmulator(None, trace=[0.01], loss_rate=0.01)
+
     def test_rejects_nonpositive_dt(self):
-        stepper = CellularChannelModel(ChannelParams()).stepper()
+        stepper = CellularChannelModel(ChannelParams(),
+                                       np.random.default_rng(1)).stepper()
         with pytest.raises(ValueError):
             stepper.advance(0.0)
 

@@ -11,7 +11,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MeterRegistry,
-    RingBuffer,
     Spans,
     TelemetrySession,
     TimelineRecorder,
@@ -126,33 +125,31 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Timeline
 # ----------------------------------------------------------------------
-class TestRingBuffer:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-    def test_no_wrap(self):
-        ring = RingBuffer(4)
-        for i in range(3):
-            ring.append(i)
-        assert ring.items() == [0, 1, 2]
-        assert ring.dropped == 0
-
-    def test_wraparound_keeps_most_recent(self):
-        ring = RingBuffer(3)
-        for i in range(7):
-            ring.append(i)
-        assert ring.items() == [4, 5, 6]
-        assert ring.dropped == 4
-        assert ring.appended == 7
-        assert len(ring) == 3
-
-
 class _Endpoint:
     flow_id = 9
 
 
 class TestTimelineRecorder:
+    def test_rejects_nonpositive_capacity(self):
+        with pytest.raises(ValueError):
+            TimelineRecorder(capacity=0)
+
+    def test_no_wrap(self):
+        rec = TimelineRecorder(capacity=4)
+        for i in range(3):
+            rec.record_event(_Endpoint(), "on_epoch", {"time": float(i)})
+        assert [row["time"] for row in rec.rows()] == [0.0, 1.0, 2.0]
+        assert rec.dropped == 0
+
+    def test_wraparound_keeps_most_recent(self):
+        rec = TimelineRecorder(capacity=3)
+        for i in range(7):
+            rec.record_event(_Endpoint(), "on_epoch", {"time": float(i)})
+        assert [row["time"] for row in rec.rows()] == [4.0, 5.0, 6.0]
+        assert rec.dropped == 4
+        assert rec.appended == 7
+        assert len(rec) == 3
+
     def test_record_event_fast_path(self):
         rec = TimelineRecorder(capacity=8, source="f0")
         rec.record_event(_Endpoint(), "on_epoch", {"time": 1.5, "window": 4.0})

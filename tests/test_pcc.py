@@ -10,6 +10,7 @@ network between the sender and its feedback.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.netsim.packet import Packet
@@ -48,7 +49,7 @@ class FakeClock:
 
 
 def make_sender(**kwargs):
-    sender = PccSender(0, **kwargs)
+    sender = PccSender(0, rng=np.random.default_rng(0), **kwargs)
     sender.sent_packets = []
     sender.attach(FakeClock(), sender.sent_packets.append)
     return sender

@@ -83,7 +83,7 @@ class TestDropTail:
 
 class TestRed:
     def test_paper_config_thresholds(self):
-        q = REDQueue.paper_config()
+        q = REDQueue.paper_config(np.random.default_rng(0))
         assert q.min_th == 3_000_000 // 8
         assert q.max_th == 9_000_000 // 8
         assert q.max_p == 0.1
@@ -125,12 +125,15 @@ class TestRed:
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            REDQueue(min_th_bytes=100, max_th_bytes=100)
+            REDQueue(min_th_bytes=100, max_th_bytes=100,
+                     rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            REDQueue(min_th_bytes=100, max_th_bytes=200, max_p=0.0)
+            REDQueue(min_th_bytes=100, max_th_bytes=200, max_p=0.0,
+                     rng=np.random.default_rng(0))
 
     def test_hard_capacity_default(self):
-        q = REDQueue(min_th_bytes=1000, max_th_bytes=2000)
+        q = REDQueue(min_th_bytes=1000, max_th_bytes=2000,
+                     rng=np.random.default_rng(0))
         assert q.capacity_bytes == 4000
 
     def test_deterministic_with_seeded_rng(self):

@@ -114,7 +114,8 @@ class TestLossHandling:
     def test_survives_total_blackout(self):
         """A mid-run 3-second outage must not deadlock the sender."""
         sim = Simulator()
-        link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
+        link = Link(sim, rate_bps=10e6, queue=DropTailQueue(),
+                    rng=np.random.default_rng(0))
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0)
         path = DirectPath(sim, link, sender, receiver, rtt=0.05)
