@@ -29,9 +29,9 @@ Package layout
     One entry point per paper figure/table (Figs 1-15, Table 1, and the
     §5.3 sensitivity sweeps).
 ``repro.obs``
-    Observability: meters, protocol timelines, span timers/profilers,
-    and the ``repro bench`` performance benchmark suite (lazy import,
-    like ``repro.campaign``).
+    Observability: meters and protocol timelines behind ``--telemetry``
+    (lazy import, like ``repro.campaign``).  Speed is measured by the
+    repository benchmark in ``perfbench/``.
 
 Quickstart
 ----------

@@ -33,8 +33,9 @@ class TraceFormatError(ValueError):
     """
 
 
-def _validate_times(arr: np.ndarray, origin: str) -> None:
-    """Reject NaN / negative / unsorted timestamps with a clear error."""
+def validate_times(arr: np.ndarray, origin: str) -> None:
+    """Reject NaN / negative / unsorted second timestamps with a clear
+    error naming ``origin``."""
     if arr.ndim != 1:
         raise TraceFormatError(f"{origin}: trace must be one-dimensional")
     if arr.size == 0:
@@ -51,7 +52,7 @@ def _validate_times(arr: np.ndarray, origin: str) -> None:
 def save_trace(path: PathLike, times_s: np.ndarray) -> None:
     """Write a trace (seconds) to a Mahimahi-style millisecond file."""
     arr = np.asarray(times_s, dtype=float)
-    _validate_times(arr, str(path))
+    validate_times(arr, str(path))
     ms = np.round(arr * 1000.0).astype(np.int64)
     Path(path).write_text("\n".join(str(int(v)) for v in ms) + "\n")
 
@@ -76,7 +77,7 @@ def load_trace(path: PathLike) -> np.ndarray:
                 f"{path}: non-finite timestamp on line {line_no}")
         values.append(value)
     arr = np.asarray(values, dtype=float) / 1000.0
-    _validate_times(arr, str(path))
+    validate_times(arr, str(path))
     return arr
 
 

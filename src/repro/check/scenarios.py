@@ -5,15 +5,16 @@ content-addressable network setup: a schedule-driven bottleneck (so the
 control law is exercised by genuine capacity changes), a bounded drop-tail
 queue (so congestion drops occur), and seeded stochastic loss (so the
 loss-recovery invariants fire).  :func:`run_audited` wires the path by
-hand — taps at all four observation points, invariant monitors on every
-seam — runs it, drains it, and returns the invariant report plus the
-epoch-level ``(t, W, D_est, delay)`` rows the golden-trace oracle diffs.
+hand — counting taps at all four observation points, invariant monitors
+on every seam — runs it, drains it, and returns the invariant report plus
+the epoch-level ``(t, W, D_est, delay)`` rows the golden-trace oracle
+diffs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from ..netsim.packet import PacketPool
 from ..netsim.queues import DropTailQueue
 from ..netsim.trace_link import TraceLink
 from ..netsim.topology import pooled_ack_sink
-from ..netsim.tracing import FlowTracer
+from ..netsim.tracing import PacketTap
 from ..tcp.base import TcpSender
 from .monitors import (
     MonotoneClockMonitor,
@@ -147,7 +148,6 @@ class AuditedRun:
     counts: Dict[str, int]
     sender: Any = None
     receiver: Any = None
-    tracer: Any = field(default=None, repr=False)
 
 
 def _round(value: float) -> float:
@@ -223,17 +223,18 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
 
     # Forward path: sender -> tap -> bottleneck -> tap -> receiver.
     # Reverse path: receiver -> tap -> delay line -> tap -> sender.
-    tracer = FlowTracer(clock=lambda: sim.now)
-    link.dst = tracer.tap("receiver-in", dst=receiver.on_data)
-    sender.attach(sim, tracer.tap("sender-out", dst=link.send))
-    # The ACK freelist runs *under* the tracing taps here, so the golden
-    # comparison doubles as proof that pooling is invisible to tracing.
+    in_tap = PacketTap(receiver.on_data)
+    link.dst = in_tap
+    out_tap = PacketTap(link.send)
+    sender.attach(sim, out_tap)
+    # The ACK freelist runs *under* the counting taps here, so the golden
+    # comparison doubles as proof that pooling is invisible to them.
     ack_pool = PacketPool()
     receiver.ack_pool = ack_pool
-    ack_in = tracer.tap("sender-ack-in",
-                        dst=pooled_ack_sink(sender.on_ack, ack_pool))
+    ack_in = PacketTap(pooled_ack_sink(sender.on_ack, ack_pool))
     reverse = DelayLine(sim, scenario.rtt / 2.0, dst=ack_in)
-    receiver.attach(sim, tracer.tap("receiver-ack-out", dst=reverse.send))
+    ack_out = PacketTap(reverse.send)
+    receiver.attach(sim, ack_out)
 
     report = InvariantReport()
     clock_monitor = MonotoneClockMonitor(report)
@@ -265,13 +266,11 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
     sim.run(until=scenario.duration + scenario.drain)
     sim.remove_monitor(clock_monitor)
 
-    out_tap = tracer.taps["sender-out"]
-    in_tap = tracer.taps["receiver-in"]
     counts = {
-        "sent_data": out_tap.count(is_ack=False),
-        "received_data": in_tap.count(is_ack=False),
-        "acks_out": tracer.taps["receiver-ack-out"].count(is_ack=True),
-        "acks_in": ack_in.count(is_ack=True),
+        "sent_data": out_tap.data,
+        "received_data": in_tap.data,
+        "acks_out": ack_out.acks,
+        "acks_in": ack_in.acks,
         "link_delivered": link.delivered,
         "queue_dropped": queue.stats.dropped,
         "stochastic_losses": link.stochastic_losses,
@@ -282,5 +281,4 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
     queue_monitor.audit(sim.now)
 
     return AuditedRun(scenario=scenario, report=report, rows=rows,
-                      counts=counts, sender=sender, receiver=receiver,
-                      tracer=tracer)
+                      counts=counts, sender=sender, receiver=receiver)

@@ -202,86 +202,6 @@ def _run_sweep(args) -> int:
     return 0 if result.all_ok else 1
 
 
-def _run_bench(args) -> int:
-    """``repro bench``: run the named benchmark suite, write a
-    schema-versioned ``BENCH_<label>.json``, optionally diff against a
-    baseline file.  With ``--compare BASELINE --against CURRENT`` no
-    benchmarks run — the two files are diffed directly.  ``--profile``
-    skips timing entirely and prints cProfile tables for the named hot
-    paths."""
-    from .obs import (
-        compare,
-        format_compare,
-        load_bench,
-        regressions,
-        run_bench,
-        write_bench,
-    )
-
-    if args.profile:
-        from .obs.profiler import profile_hotpaths
-        try:
-            profiles = profile_hotpaths(args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for name, rows in profiles.items():
-            print(format_table(rows, title=f"cProfile: {name} hot path"))
-        return 0
-
-    if args.compare and args.against:
-        try:
-            rows = compare(load_bench(args.compare), load_bench(args.against),
-                           max_regression=args.max_regression)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_compare(rows))
-        regs = regressions(rows)
-        if regs:
-            print(f"{len(regs)} regression(s) beyond tolerance",
-                  file=sys.stderr)
-            return 0 if args.warn_only else 1
-        return 0
-
-    mode = "full" if args.full else "quick"
-
-    def progress(result: dict) -> None:
-        print(f"  {result['name']:<28s} {result['seconds'] * 1e3:9.2f}ms "
-              f"(best of {result['repeats']})", file=sys.stderr)
-
-    try:
-        doc = run_bench(names=args.name or None, mode=mode, jobs=args.jobs,
-                        label=args.label, progress=progress)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    path = write_bench(doc, path=args.out)
-    print(f"wrote {path} ({len(doc['benchmarks'])} benchmarks, mode={mode})")
-    for key, value in sorted(doc["derived"].items()):
-        print(f"  {key}: {value}")
-    rc = 0
-    if doc["failures"]:
-        for name, error in sorted(doc["failures"].items()):
-            print(f"benchmark {name} failed: {error}", file=sys.stderr)
-        rc = 1
-    if args.compare:
-        try:
-            rows = compare(load_bench(args.compare), doc,
-                           max_regression=args.max_regression)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_compare(rows))
-        regs = regressions(rows)
-        if regs:
-            print(f"{len(regs)} regression(s) beyond tolerance",
-                  file=sys.stderr)
-            if not args.warn_only:
-                rc = 1
-    return rc
-
-
 def _run_chaos(args) -> int:
     """``repro chaos``: expand a (protocol × fault × seed) acceptance
     matrix, run it through the campaign engine, and fail unless every
@@ -841,42 +761,6 @@ def main(argv=None) -> int:
                     choices=["mahimahi", "seconds", "csv"],
                     help="output format (default: by extension, mahimahi)")
 
-    bench = sub.add_parser(
-        "bench", help="performance benchmark suite (obs subsystem)")
-    bench_mode = bench.add_mutually_exclusive_group()
-    bench_mode.add_argument("--quick", action="store_true",
-                            help="small pinned workloads (default)")
-    bench_mode.add_argument("--full", action="store_true",
-                            help="full workloads with more repeats")
-    bench.add_argument("--name", action="append", default=None,
-                       metavar="BENCH",
-                       help="run only the named benchmark (repeatable; "
-                            "default all)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (timings then share cores)")
-    bench.add_argument("--label", default="local",
-                       help="label embedded in the BENCH_<label>.json name")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<label>.json in cwd)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="diff results against this BENCH file")
-    bench.add_argument("--against", default=None, metavar="CURRENT",
-                       help="with --compare: diff BASELINE against this "
-                            "file instead of running benchmarks")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report regressions without failing the exit "
-                            "code")
-    bench.add_argument("--max-regression", type=float, default=None,
-                       metavar="FRAC",
-                       help="cap every benchmark's regression band at this "
-                            "fraction of the baseline (the CI ratchet uses "
-                            "0.10: fail anything >10%% slower)")
-    bench.add_argument("--profile", action="append", default=None,
-                       metavar="HOTPATH",
-                       help="cProfile a named hot path (engine, interp, "
-                            "channel, red_queue, contention) instead of "
-                            "benchmarking")
-
     soak = sub.add_parser(
         "soak", help="budgeted endurance harness: randomized (seed-"
                      "reproducible) cells under worker watchdogs, with "
@@ -976,8 +860,6 @@ def main(argv=None) -> int:
         return 0
     if args.command == "sweep":
         return _run_sweep(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "chaos":
         return _run_chaos(args)
     if args.command == "check":

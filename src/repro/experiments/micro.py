@@ -17,6 +17,7 @@ import numpy as np
 
 from ..metrics import flow_stats, jain_index, windowed_throughput
 from ..netsim import LinkPhase, LinkSchedule
+from ..traces.workload import derive_seed
 from .runner import (
     ExperimentResult,
     FlowSpec,
@@ -76,8 +77,9 @@ def fig11_rapid_change(scenario: str = "I", duration: float = 240.0,
     series: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     delays: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     stats: Dict[str, dict] = {}
+    schedule = rapid_change_schedule(duration, *rates,
+                                     seed=derive_seed(seed, "schedule"))
     for protocol, options in protocols:
-        schedule = rapid_change_schedule(duration, *rates, seed=seed)
         spec = FlowSpec(protocol=protocol, options=dict(options))
         result = run_variable_dumbbell(schedule, [spec], duration=duration,
                                        queue_bytes=2_000_000, seed=seed)

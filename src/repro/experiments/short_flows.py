@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cellular import generate_scenario_trace
+from ..traces.workload import derive_seed
 from .runner import FlowSpec, run_trace_contention
 
 #: Transfer sizes swept by default: a small web object up to a video chunk.
@@ -42,7 +43,9 @@ def fct_sweep(sizes: Sequence[int] = DEFAULT_SIZES_BYTES,
               duration: float = 120.0,
               repetitions: int = 3,
               seed: int = 37) -> List[Dict]:
-    """FCT per (protocol, size), averaged over channel seeds."""
+    """FCT per (protocol, size), averaged over repetitions.  Repetition
+    ``rep`` runs at seed ``seed + rep`` over a trace synthesised from a
+    seed derived from that run seed."""
     rows: List[Dict] = []
     for size in sizes:
         row: Dict[str, object] = {"size_kb": size // 1000}
@@ -51,7 +54,8 @@ def fct_sweep(sizes: Sequence[int] = DEFAULT_SIZES_BYTES,
             for rep in range(repetitions):
                 trace = generate_scenario_trace(
                     scenario, duration=duration, technology=technology,
-                    mean_rate_bps=cell_rate_bps, seed=seed + 13 * rep)
+                    mean_rate_bps=cell_rate_bps,
+                    seed=derive_seed(seed + rep, "trace"))
                 fct = measure_fct(protocol, size, trace,
                                   timeout=duration, seed=seed + rep)
                 if fct is not None:

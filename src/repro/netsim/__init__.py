@@ -16,7 +16,7 @@ from .packet import ACK_BYTES, MTU_BYTES, Packet, PacketPool
 from .queues import CoDelQueue, DropTailQueue, QueueStats, REDQueue
 from .topology import Dumbbell, DirectPath, FlowHandle, OnOffSource, SinkReceiver
 from .trace_link import TraceLink
-from .tracing import FlowTracer, PacketTap, TapRecord
+from .tracing import PacketTap
 
 __all__ = [
     "ACK_BYTES",
@@ -31,7 +31,6 @@ __all__ = [
     "DuplicatingLink",
     "Event",
     "EventHandle",
-    "FlowTracer",
     "JitterLink",
     "ReorderingLink",
     "FlowHandle",
@@ -51,7 +50,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SinkReceiver",
-    "TapRecord",
     "TraceLink",
     "VariableLink",
 ]

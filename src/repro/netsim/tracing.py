@@ -1,193 +1,35 @@
-"""Packet-event tracing: tap any link and export per-packet timelines.
+"""Counting taps: how many packets crossed one point of a path.
 
-Debugging congestion control means asking "where did packet 4711 spend
-its time?".  A :class:`PacketTap` wraps any destination callable and logs
-(time, event, packet) records; :class:`FlowTracer` assembles taps placed
-at the sender exit and receiver entry into per-packet timelines with
-one-way delay decomposition.  Export is a plain-text "pcap-lite" that
-diffs cleanly between runs.
+A :class:`PacketTap` sits in front of any destination callable, forwards
+every packet unchanged, and counts the data packets and ACKs it saw.  The
+audited check runs place one at each of the four points of a path
+(sender out, receiver in, receiver ACK out, sender ACK in) and balance
+the conservation ledger from their counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from .packet import Packet
 
 Destination = Callable[[Packet], None]
 
 
-@dataclass
-class TapRecord:
-    """One observed packet event."""
-
-    time: float
-    point: str          # e.g. "sender-out", "receiver-in"
-    flow_id: int
-    seq: int
-    size: int
-    is_ack: bool
-    retransmission: bool
-
-    def line(self) -> str:
-        kind = "ACK " if self.is_ack else "DATA"
-        rtx = " RTX" if self.retransmission else ""
-        return (f"{self.time * 1e3:12.3f}ms  {self.point:<14s} {kind} "
-                f"flow={self.flow_id} seq={self.seq} size={self.size}{rtx}")
-
-
 class PacketTap:
-    """Transparent observation point in front of any destination.
+    """Transparent counting pass-through in front of ``dst``."""
 
-    Records are stamped with ``clock()`` — pass ``lambda: sim.now`` (or a
-    live :class:`~repro.live.clock.WallClock`'s ``now``) so the stamp is
-    the *observation* time.  Without a clock the tap falls back to the
-    packet's ``sent_time``, clamped to be non-decreasing in arrival
-    order: a raw ``sent_time`` fallback would stamp ACKs with their
-    creation time and retransmissions with their refreshed send time,
-    placing them before earlier-observed events and misordering exported
-    timelines.
-    """
+    __slots__ = ("dst", "data", "acks")
 
-    def __init__(self, point: str, dst: Optional[Destination] = None,
-                 clock: Optional[Callable[[], float]] = None,
-                 max_records: Optional[int] = None):
-        if not point:
-            raise ValueError("tap needs a point name")
-        self.point = point
+    def __init__(self, dst: Optional[Destination] = None):
         self.dst = dst
-        self.clock = clock
-        self.max_records = max_records
-        self.records: List[TapRecord] = []
-        self.dropped_records = 0
-        self._last_time = float("-inf")
+        self.data = 0
+        self.acks = 0
 
     def __call__(self, packet: Packet) -> None:
-        if self.clock is not None:
-            now = self.clock()
+        if packet.is_ack:
+            self.acks += 1
         else:
-            # Monotone fallback: observation order defines the timeline.
-            now = max(packet.sent_time, self._last_time)
-        self._last_time = now
-        if self.max_records is None or len(self.records) < self.max_records:
-            self.records.append(TapRecord(
-                time=now, point=self.point, flow_id=packet.flow_id,
-                seq=packet.seq, size=packet.size, is_ack=packet.is_ack,
-                retransmission=packet.retransmission))
-        else:
-            self.dropped_records += 1
+            self.data += 1
         if self.dst is not None:
             self.dst(packet)
-
-    # convenience -------------------------------------------------------
-    def seqs(self) -> List[int]:
-        return [r.seq for r in self.records]
-
-    def count(self, is_ack: Optional[bool] = None) -> int:
-        if is_ack is None:
-            return len(self.records)
-        return sum(1 for r in self.records if r.is_ack == is_ack)
-
-
-class FlowTracer:
-    """Collects taps and reconstructs per-packet timelines.
-
-    ``clock`` is the default observation clock handed to every tap
-    created through :meth:`tap`; per-tap clocks override it.  Give the
-    tracer the experiment's clock once (``FlowTracer(lambda: sim.now)``)
-    instead of repeating it at every tap site.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.taps: Dict[str, PacketTap] = {}
-        self.clock = clock
-        self._sorted_cache: Optional[List[TapRecord]] = None
-        self._sorted_signature: Optional[tuple] = None
-
-    def tap(self, point: str, dst: Optional[Destination] = None,
-            clock: Optional[Callable[[], float]] = None,
-            max_records: Optional[int] = None) -> PacketTap:
-        """Create and register a tap; insert its return value as ``dst``."""
-        if point in self.taps:
-            raise ValueError(f"tap {point!r} already registered")
-        created = PacketTap(point, dst=dst,
-                            clock=clock if clock is not None else self.clock,
-                            max_records=max_records)
-        self.taps[point] = created
-        return created
-
-    def timeline(self, flow_id: int, seq: int) -> List[TapRecord]:
-        """All events for one packet, time-ordered across taps."""
-        events = [record
-                  for tap in self.taps.values()
-                  for record in tap.records
-                  if record.flow_id == flow_id and record.seq == seq]
-        return sorted(events, key=lambda r: r.time)
-
-    def hop_delay(self, flow_id: int, seq: int, from_point: str,
-                  to_point: str) -> Optional[float]:
-        """First-crossing delay of a data packet between two taps."""
-        start = self._first(flow_id, seq, from_point)
-        end = self._first(flow_id, seq, to_point)
-        if start is None or end is None:
-            return None
-        return end.time - start.time
-
-    def _first(self, flow_id: int, seq: int,
-               point: str) -> Optional[TapRecord]:
-        tap = self.taps.get(point)
-        if tap is None:
-            return None
-        for record in tap.records:
-            if (record.flow_id == flow_id and record.seq == seq
-                    and not record.is_ack):
-                return record
-        return None
-
-    def _sorted_records(self) -> List[TapRecord]:
-        """Time-ordered view over all taps, cached between appends.
-
-        Tap record lists are append-only, so (tap set, per-tap lengths)
-        identifies the content exactly; repeated exports and timeline
-        queries on a quiescent tracer skip the O(n log n) re-sort.
-        """
-        signature = tuple((name, len(tap.records))
-                          for name, tap in self.taps.items())
-        if self._sorted_cache is not None \
-                and signature == self._sorted_signature:
-            return self._sorted_cache
-        self._sorted_cache = sorted(
-            (record for tap in self.taps.values() for record in tap.records),
-            key=lambda r: (r.time, r.point))
-        self._sorted_signature = signature
-        return self._sorted_cache
-
-    def export(self, path) -> int:
-        """Write all records, time-ordered, to a text file.  Returns the
-        number of lines written."""
-        records = self._sorted_records()
-        text = "\n".join(record.line() for record in records)
-        Path(path).write_text(text + ("\n" if text else ""))
-        return len(records)
-
-    def export_jsonl(self, path) -> int:
-        """Machine-readable export: one JSON object per record, time-ordered.
-
-        The same records as :meth:`export`, but diffable and
-        post-processable without parsing the human-oriented text format —
-        the intended interchange for live-path traces.  Returns the number
-        of lines written.
-        """
-        import json
-
-        records = self._sorted_records()
-        with open(path, "w") as fh:
-            for r in records:
-                fh.write(json.dumps({
-                    "time": r.time, "point": r.point, "flow_id": r.flow_id,
-                    "seq": r.seq, "size": r.size, "is_ack": r.is_ack,
-                    "retransmission": r.retransmission,
-                }, separators=(",", ":")) + "\n")
-        return len(records)

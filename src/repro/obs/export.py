@@ -1,11 +1,10 @@
 """Timeline and meter export: JSONL, CSV, and session bundles.
 
-Follows the :meth:`~repro.netsim.tracing.FlowTracer.export_jsonl`
-conventions: one compact JSON object per line (``separators=(",", ":")``),
-rows time-ordered, return value is the number of lines written.  CSV
-export flattens the union of row keys into a fixed header so ragged
-event rows (an ``epoch`` row has different fields from a ``loss`` row)
-land in one rectangular file.
+JSONL export writes one compact JSON object per row
+(``separators=(",", ":")``).  CSV export flattens the union of row keys
+into a fixed header so ragged event rows (an ``epoch`` row has different
+fields from a ``loss`` row) land in one rectangular file.  Both timeline
+writers return the number of rows written.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def write_session(session: TelemetrySession, directory,
     """Write a session's artifacts next to experiment results.
 
     Emits ``<prefix>_timeline.jsonl`` and ``<prefix>_summary.json``
-    (meters + spans + ring-buffer accounting), plus an optional
+    (meters + ring-buffer accounting), plus an optional
     ``<prefix>_timeline.csv``.  Returns the written paths.
     """
     directory = Path(directory)

@@ -1,26 +1,14 @@
-"""Hierarchical meters: counters, gauges, log-bucketed histograms.
+"""Named meters: counters and gauges.
 
 The registry is the accumulation side of the observability subsystem:
-protocol observers and span timers write into it, and a JSON-safe
-:meth:`MeterRegistry.snapshot` comes out.  Snapshots are *mergeable* —
-two snapshots taken in different processes (e.g. campaign workers) can
-be combined with :func:`merge_snapshots` into one consistent view,
-which is what makes the meters usable under the campaign engine's
-process pool.
-
-Histograms are log-bucketed: a value lands in bucket ``i`` when
-``base**i <= value < base**(i+1)``.  Buckets are sparse (a dict), so a
-histogram spanning nanoseconds to minutes costs a handful of entries,
-and merging two histograms is a per-bucket addition.  Percentiles are
-reconstructed by walking the cumulative bucket mass and interpolating
-linearly inside the target bucket, clamped to the exact observed
-min/max so single-value and single-bucket histograms are exact.
+:meth:`~repro.obs.timeline.TelemetrySession.finalize` folds end-of-run
+engine statistics into it, and a JSON-safe :meth:`MeterRegistry.snapshot`
+comes out.  Telemetry summaries and crash bundles carry that snapshot.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
 SNAPSHOT_SCHEMA = "repro.meters/1"
 
@@ -38,15 +26,6 @@ class Counter:
 
     def to_dict(self) -> dict:
         return {"value": self.value}
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Counter":
-        counter = cls()
-        counter.value = int(payload["value"])
-        return counter
 
 
 class Gauge:
@@ -71,168 +50,15 @@ class Gauge:
         return {"value": self.value, "min": self.min, "max": self.max,
                 "updates": self.updates}
 
-    def merge(self, other: "Gauge") -> None:
-        """Right-biased merge: the other snapshot's last write wins, the
-        min/max envelope covers both."""
-        if other.updates:
-            self.value = other.value
-        for attr, fn in (("min", min), ("max", max)):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if theirs is not None:
-                setattr(self, attr, theirs if mine is None else fn(mine, theirs))
-        self.updates += other.updates
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Gauge":
-        gauge = cls()
-        gauge.value = payload["value"]
-        gauge.min = payload["min"]
-        gauge.max = payload["max"]
-        gauge.updates = int(payload["updates"])
-        return gauge
-
-
-class Histogram:
-    """Sparse log-bucketed histogram with exact count/sum/min/max.
-
-    ``base`` sets the bucket growth factor (relative resolution);
-    the default ``2 ** 0.25`` keeps any reconstructed percentile within
-    about ±9% of the true value.  Non-positive values (a zero-length
-    span, a clamped delay) are counted in a dedicated ``zeros`` bucket
-    rather than silently dropped.
-    """
-
-    __slots__ = ("base", "counts", "zeros", "count", "total", "min", "max",
-                 "_log_base")
-
-    def __init__(self, base: float = 2.0 ** 0.25) -> None:
-        if base <= 1.0:
-            raise ValueError(f"histogram base must exceed 1 (got {base})")
-        self.base = float(base)
-        self._log_base = math.log(self.base)
-        self.counts: Dict[int, int] = {}
-        self.zeros = 0
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def record(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if value <= 0.0:
-            self.zeros += 1
-            return
-        index = int(math.floor(math.log(value) / self._log_base))
-        # Float rounding at an exact bucket edge can land one bucket
-        # high; nudge back so base**i <= value holds.
-        if self.base ** index > value:
-            index -= 1
-        self.counts[index] = self.counts.get(index, 0) + 1
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
-
-    # ------------------------------------------------------------------
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Reconstruct the ``q``-th percentile (``0 <= q <= 100``).
-
-        Returns None for an empty histogram.  Exact at the envelope: the
-        0th percentile is the observed min, the 100th the observed max,
-        and a histogram whose mass sits in one bucket interpolates
-        between the clamped bucket bounds, so a single observation
-        reproduces itself exactly.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100] (got {q})")
-        if self.count == 0:
-            return None
-        target = q / 100.0 * self.count
-        seen = self.zeros
-        if self.zeros and target <= seen:
-            # Non-positive values sit below every log bucket.  (Guarded on
-            # zeros actually existing: q=0 on an all-positive histogram
-            # must fall through and clamp to the observed min instead.)
-            return min(0.0, self.min if self.min is not None else 0.0)
-        for index in sorted(self.counts):
-            bucket = self.counts[index]
-            if seen + bucket >= target:
-                lo = self.base ** index
-                hi = self.base ** (index + 1)
-                # Clamp the bucket to the observed envelope so the
-                # reconstruction never leaves [min, max].
-                lo = max(lo, self.min) if self.min is not None else lo
-                hi = min(hi, self.max) if self.max is not None else hi
-                if hi <= lo:
-                    return float(lo)
-                frac = (target - seen) / bucket
-                return float(lo + frac * (hi - lo))
-            seen += bucket
-        return float(self.max) if self.max is not None else None
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "Histogram") -> None:
-        if abs(other.base - self.base) > 1e-12:
-            raise ValueError(
-                f"cannot merge histograms with different bases "
-                f"({self.base} != {other.base})")
-        for index, bucket in other.counts.items():
-            self.counts[index] = self.counts.get(index, 0) + bucket
-        self.zeros += other.zeros
-        self.count += other.count
-        self.total += other.total
-        for attr, fn in (("min", min), ("max", max)):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if theirs is not None:
-                setattr(self, attr, theirs if mine is None else fn(mine, theirs))
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "zeros": self.zeros,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Histogram":
-        hist = cls(base=float(payload["base"]))
-        hist.counts = {int(k): int(v) for k, v in payload["counts"].items()}
-        hist.zeros = int(payload["zeros"])
-        hist.count = int(payload["count"])
-        hist.total = float(payload["total"])
-        hist.min = payload["min"]
-        hist.max = payload["max"]
-        return hist
-
 
 class MeterRegistry:
-    """Get-or-create registry of named meters.
-
-    Names are hierarchical dotted paths (``engine.events``,
-    ``verus.epoch.window``); :meth:`scoped` returns a view that prefixes
-    every name, so a subsystem can meter itself without knowing where it
-    is mounted.
-    """
+    """Get-or-create registry of named meters (dotted names such as
+    ``engine.events``); one name holds one meter type."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         meter = self._counters.get(name)
         if meter is None:
@@ -247,28 +73,12 @@ class MeterRegistry:
             meter = self._gauges[name] = Gauge()
         return meter
 
-    def histogram(self, name: str, base: float = 2.0 ** 0.25) -> Histogram:
-        meter = self._histograms.get(name)
-        if meter is None:
-            self._check_name(name)
-            meter = self._histograms[name] = Histogram(base=base)
-        return meter
-
     def _check_name(self, name: str) -> None:
         if not name:
             raise ValueError("meter name must be non-empty")
-        taken = (name in self._counters or name in self._gauges
-                 or name in self._histograms)
-        if taken:
+        if name in self._counters or name in self._gauges:
             raise ValueError(f"meter {name!r} already registered "
                              f"with a different type")
-
-    def scoped(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self, prefix)
-
-    # ------------------------------------------------------------------
-    def names(self) -> List[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
 
     def snapshot(self) -> dict:
         """JSON-safe snapshot of every meter (sorted names)."""
@@ -278,62 +88,4 @@ class MeterRegistry:
                          for k in sorted(self._counters)},
             "gauges": {k: self._gauges[k].to_dict()
                        for k in sorted(self._gauges)},
-            "histograms": {k: self._histograms[k].to_dict()
-                           for k in sorted(self._histograms)},
         }
-
-    @classmethod
-    def from_snapshot(cls, payload: dict) -> "MeterRegistry":
-        if payload.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(f"unsupported meter snapshot schema "
-                             f"{payload.get('schema')!r}")
-        registry = cls()
-        for name, body in payload.get("counters", {}).items():
-            registry._counters[name] = Counter.from_dict(body)
-        for name, body in payload.get("gauges", {}).items():
-            registry._gauges[name] = Gauge.from_dict(body)
-        for name, body in payload.get("histograms", {}).items():
-            registry._histograms[name] = Histogram.from_dict(body)
-        return registry
-
-    def merge(self, other: "MeterRegistry") -> "MeterRegistry":
-        """Fold ``other`` into this registry (in place, returns self)."""
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, hist in other._histograms.items():
-            self.histogram(name, base=hist.base).merge(hist)
-        return self
-
-
-class ScopedRegistry:
-    """Prefixing view over a :class:`MeterRegistry`."""
-
-    def __init__(self, registry: MeterRegistry, prefix: str):
-        if not prefix:
-            raise ValueError("scope prefix must be non-empty")
-        self._registry = registry
-        self._prefix = prefix.rstrip(".")
-
-    def counter(self, name: str) -> Counter:
-        return self._registry.counter(f"{self._prefix}.{name}")
-
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(f"{self._prefix}.{name}")
-
-    def histogram(self, name: str, base: float = 2.0 ** 0.25) -> Histogram:
-        return self._registry.histogram(f"{self._prefix}.{name}", base=base)
-
-    def scoped(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self._registry, f"{self._prefix}.{prefix}")
-
-
-def merge_snapshots(*snapshots: dict) -> dict:
-    """Merge JSON meter snapshots (e.g. from different worker processes)
-    into one.  Counters and histograms add; gauges keep the last writer's
-    value with a combined min/max envelope."""
-    merged = MeterRegistry()
-    for snap in snapshots:
-        merged.merge(MeterRegistry.from_snapshot(snap))
-    return merged.snapshot()

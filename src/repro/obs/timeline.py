@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .meters import MeterRegistry
-from .profiler import Spans
 
 TIMELINE_SCHEMA = "repro.timeline/1"
 
@@ -131,7 +130,7 @@ class TimelineRecorder:
 
 
 class TelemetrySession:
-    """One experiment's worth of telemetry: recorders, meters, spans.
+    """One experiment's worth of telemetry: recorders and meters.
 
     The session is passive until the experiment runner calls
     :meth:`attach` with the simulator and the flows it wired up; it can
@@ -142,7 +141,6 @@ class TelemetrySession:
     def __init__(self, timeline_capacity: int = 4096):
         self.timeline_capacity = timeline_capacity
         self.registry = MeterRegistry()
-        self.spans = Spans()
         self.recorders: List[TimelineRecorder] = []
         self.runs = 0
 
@@ -186,14 +184,13 @@ class TelemetrySession:
         return sum(recorder.dropped for recorder in self.recorders)
 
     def summary(self) -> dict:
-        """JSON-safe overview: meters + spans + timeline accounting."""
+        """JSON-safe overview: meters + timeline accounting."""
         return {
             "schema": TIMELINE_SCHEMA,
             "runs": self.runs,
             "timeline_rows": sum(len(r) for r in self.recorders),
             "timeline_dropped": self.dropped(),
             "meters": self.registry.snapshot(),
-            "spans": self.spans.snapshot(),
         }
 
 

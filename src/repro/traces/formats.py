@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..cellular.trace_io import TraceFormatError
+from ..cellular.trace_io import TraceFormatError, validate_times
 
 PathLike = Union[str, os.PathLike]
 
@@ -56,7 +56,7 @@ _CSV_HEADER = "time_ms,packets"
 def as_milliseconds(times_s: np.ndarray) -> np.ndarray:
     """Quantise second-domain timestamps to the canonical ms grid."""
     arr = np.asarray(times_s, dtype=float)
-    _validate_seconds(arr, "trace")
+    validate_times(arr, "trace")
     return np.round(arr * 1000.0).astype(np.int64)
 
 
@@ -85,20 +85,6 @@ def validate_ms(times_ms: np.ndarray, origin: str = "trace") -> np.ndarray:
     if np.any(np.diff(arr) < 0):
         raise TraceFormatError(f"{origin}: trace timestamps are not sorted")
     return arr
-
-
-def _validate_seconds(arr: np.ndarray, origin: str) -> None:
-    if arr.ndim != 1:
-        raise TraceFormatError(f"{origin}: trace must be one-dimensional")
-    if arr.size == 0:
-        return
-    if np.any(np.isnan(arr)):
-        raise TraceFormatError(f"{origin}: trace contains NaN timestamps")
-    if arr[0] < 0:
-        raise TraceFormatError(f"{origin}: trace timestamps must be "
-                               f"non-negative")
-    if np.any(np.diff(arr) < 0):
-        raise TraceFormatError(f"{origin}: trace timestamps are not sorted")
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +137,7 @@ def read_seconds(path: PathLike) -> np.ndarray:
                 f"{path}: non-finite timestamp on line {line_no}")
         values.append(value)
     arr = np.asarray(values, dtype=float)
-    _validate_seconds(arr, str(path))
+    validate_times(arr, str(path))
     return np.round(arr * 1000.0).astype(np.int64)
 
 
