@@ -1,7 +1,8 @@
 """Campaign engine: parallel sweep orchestration with a durable cache.
 
 The evaluation grid of the paper — protocols × scenarios × flow counts ×
-seeds — is expressed as a :class:`CampaignSpec`, expanded into hashable
+seeds, plus fault and backend axes for the chaos matrix — is expanded by
+:func:`expand_grid` (or :class:`CampaignSpec`) into hashable
 :class:`TaskSpec` cells, executed on a crash-isolated process pool
 (:func:`run_campaign` / :func:`run_tasks`), memoised in a
 content-addressed :class:`ResultStore`, and reduced back into paper-style
@@ -9,7 +10,7 @@ tables (:func:`aggregate_campaign`).
 
 Dataflow::
 
-    CampaignSpec --expand--> [TaskSpec] --key()--> ResultStore lookup
+    expand_grid -----------> [TaskSpec] --key()--> ResultStore lookup
           |                      |                     | hit: reuse
           |                      v miss                v
           |            ProcessPoolExecutor --summary--> ResultStore.put
@@ -34,7 +35,9 @@ from .executor import (
 from .spec import (
     DEFAULT_PROTOCOL_OPTIONS,
     CampaignSpec,
+    Channel,
     TaskSpec,
+    expand_grid,
     run_simulation_task,
 )
 from .store import DEFAULT_CACHE_DIR, ResultStore
@@ -42,6 +45,7 @@ from .store import DEFAULT_CACHE_DIR, ResultStore
 __all__ = [
     "CampaignResult",
     "CampaignSpec",
+    "Channel",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_PROTOCOL_OPTIONS",
     "ExecutorStats",
@@ -51,6 +55,7 @@ __all__ = [
     "TaskSpec",
     "aggregate_campaign",
     "aggregate_timings",
+    "expand_grid",
     "mean_ci",
     "rows_as_json",
     "run_campaign",

@@ -1,7 +1,11 @@
-"""Declarative campaign grids: scenario × protocol × flows × overrides × seeds.
+"""Declarative grids: channel × protocol × flows × overrides × fault ×
+backend × seeds.
 
-A :class:`CampaignSpec` describes the whole sweep; :meth:`CampaignSpec.expand`
-turns it into one :class:`TaskSpec` per grid cell.  Each task is
+:class:`TaskSpec` is the one cell type behind ``repro sweep``, ``repro
+chaos`` and ``repro soak``, and :func:`run_simulation_task` the one
+worker that runs it.  :func:`expand_grid` turns the axes into cells
+(:meth:`CampaignSpec.expand` and :func:`repro.traces.expand_corpus` are
+front ends to it).  Each cell is
 
 * **individually hashable** — :meth:`TaskSpec.key` canonicalises the spec
   (sorted-key JSON plus :func:`code_fingerprint`) and hashes it with SHA-256,
@@ -11,22 +15,29 @@ turns it into one :class:`TaskSpec` per grid cell.  Each task is
   position in the expanded grid.  The seed depends only on the grid cell,
   never on execution order, so a ``--jobs 8`` run is bit-identical to a
   serial one.
+
+A cell without a fault returns the run's ``summary()``; a cell with a
+fault preset also runs that schedule on its backend and adds the
+recovery verdict of :func:`repro.faults.chaos.recovery_verdict`.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..cellular import SCENARIO_NAMES
 from ..experiments.runner import PROTOCOL_NAMES
+from ..faults.spec import BACKENDS, FAULT_PRESETS
 
 #: Options applied to every flow of a protocol unless an override names the
 #: same key.  Mirrors the ``r=2.0`` default the experiments layer uses for
@@ -72,6 +83,12 @@ class TaskSpec:
     file that hashes differently, and the cache key is derived from the
     hash rather than the path, so moving a corpus does not invalidate
     cached results.
+
+    ``fault`` names a preset of :data:`repro.faults.spec.FAULT_PRESETS`
+    (``None``, the default, runs the cell undisturbed).  A faulted cell
+    runs its schedule on ``backend`` — the simulator or the live UDP
+    loopback — and is judged on recovery within ``deadline`` seconds of
+    the disruption.
     """
 
     scenario: str
@@ -88,19 +105,34 @@ class TaskSpec:
     options: Tuple[Tuple[str, object], ...] = ()
     trace_file: Optional[str] = None
     trace_sha256: Optional[str] = None
+    fault: Optional[str] = None
+    backend: str = "sim"
+    deadline: float = 3.0
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOL_NAMES:
             raise ValueError(f"unknown protocol {self.protocol!r}; "
                              f"choose from {PROTOCOL_NAMES}")
+        if self.fault is not None and self.fault not in FAULT_PRESETS:
+            raise ValueError(f"unknown fault preset {self.fault!r}; "
+                             f"choose from {FAULT_PRESETS}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.fault is None and self.backend != "sim":
+            raise ValueError("a live cell needs a fault preset "
+                             "('none' runs it undisturbed)")
         if self.trace_file is None and self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {SCENARIO_NAMES} "
                              f"(or provide trace_file)")
         if self.trace_sha256 is not None and self.trace_file is None:
             raise ValueError("trace_sha256 requires trace_file")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
         if self.flows < 1:
             raise ValueError("flows must be at least 1")
+        if self.deadline <= 0:
+            raise ValueError("deadline must be positive")
         if not self.label:
             object.__setattr__(self, "label", self.protocol)
         if isinstance(self.options, dict):
@@ -127,6 +159,9 @@ class TaskSpec:
             "options": {k: v for k, v in self.options},
             "trace_file": self.trace_file,
             "trace_sha256": self.trace_sha256,
+            "fault": self.fault,
+            "backend": self.backend,
+            "deadline": self.deadline,
         }
 
     @classmethod
@@ -151,11 +186,120 @@ class TaskSpec:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+class Channel(NamedTuple):
+    """One entry of a grid's channel axis.
+
+    Without ``trace_file`` the cell synthesises the registered scenario
+    ``scenario``; with it the cell replays that pinned corpus trace,
+    ``scenario`` is its label and ``duration`` its recorded length (the
+    cell's duration when the grid sets none)."""
+
+    scenario: str
+    trace_file: Optional[str] = None
+    trace_sha256: Optional[str] = None
+    duration: Optional[float] = None
+
+
+def sweep_warmup(duration: float) -> float:
+    """The standard 5 s warm-up, shortened to duration/5 so very short
+    smoke sweeps still observe packets."""
+    return min(5.0, duration / 5.0)
+
+
+def _check_axes(seeds: int, override_labels: Optional[Sequence[str]],
+                **axes: Sequence) -> None:
+    if seeds < 1:
+        raise ValueError("seeds must be at least 1")
+    empty = [name for name, values in axes.items() if not values]
+    if empty:
+        raise ValueError(f"empty grid axis: {', '.join(empty)}")
+    if (override_labels is not None
+            and len(override_labels) != len(axes["overrides"])):
+        raise ValueError("override_labels must match overrides in length")
+
+
+def _override_label(protocol: str, index: int, count: int,
+                    labels: Optional[Sequence[str]]) -> str:
+    if labels is not None:
+        return f"{protocol}_{labels[index]}" if labels[index] else protocol
+    return f"{protocol}_v{index}" if count > 1 else protocol
+
+
+def expand_grid(channels: Sequence[Union[str, Channel]],
+                protocols: Sequence[str],
+                flow_counts: Sequence[int] = (3,), seeds: int = 1, *,
+                duration: Optional[float] = None,
+                default_duration: float = 30.0,
+                warmup: Union[None, float, Callable[[float], float]] = None,
+                technology: str = "3g",
+                cell_rate_bps: Optional[float] = None, rtt: float = 0.01,
+                overrides: Sequence[dict] = ({},),
+                override_labels: Optional[Sequence[str]] = None,
+                faults: Sequence[Optional[str]] = (None,),
+                backends: Sequence[str] = ("sim",),
+                deadline: float = 3.0,
+                base_seed: int = 0) -> List[TaskSpec]:
+    """Expand channels × protocols × flow_counts × overrides × faults ×
+    backends × seeds into cells, in that nesting order (seeds innermost).
+
+    A channel is a registered scenario name or a :class:`Channel`.
+    ``duration=None`` runs each corpus channel for its recorded length
+    and every other cell for ``default_duration``.  ``warmup`` is a
+    number, a function of the cell's duration, or ``None`` for
+    :func:`sweep_warmup`.  Each override dict is merged over the
+    protocol's :data:`DEFAULT_PROTOCOL_OPTIONS`.
+
+    ``SeedSequence.spawn`` gives every cell an independent,
+    well-separated random stream; the spawn index is the cell's fixed
+    position in the grid, so the mapping cell → seed is stable under
+    any execution order and under ``--resume``.
+    """
+    _check_axes(seeds, override_labels, channels=channels,
+                protocols=protocols, flow_counts=flow_counts,
+                overrides=overrides, faults=faults, backends=backends)
+    if warmup is None:
+        warmup = sweep_warmup
+    cells = list(itertools.product(channels, protocols, flow_counts,
+                                   range(len(overrides)), faults, backends,
+                                   range(seeds)))
+    children = np.random.SeedSequence(base_seed).spawn(len(cells))
+    tasks: List[TaskSpec] = []
+    for child, (channel, protocol, flows, o_idx, fault, backend,
+                seed_index) in zip(children, cells):
+        if isinstance(channel, str):
+            channel = Channel(channel)
+        cell_duration = (duration if duration is not None
+                         else channel.duration or default_duration)
+        options = dict(DEFAULT_PROTOCOL_OPTIONS.get(protocol, {}))
+        options.update(overrides[o_idx])
+        tasks.append(TaskSpec(
+            scenario=channel.scenario,
+            protocol=protocol,
+            flows=flows,
+            duration=cell_duration,
+            seed=int(child.generate_state(1)[0]),
+            seed_index=seed_index,
+            technology=technology,
+            cell_rate_bps=cell_rate_bps,
+            rtt=rtt,
+            warmup=warmup(cell_duration) if callable(warmup) else warmup,
+            label=_override_label(protocol, o_idx, len(overrides),
+                                  override_labels),
+            options=tuple(sorted(options.items())),
+            trace_file=channel.trace_file,
+            trace_sha256=channel.trace_sha256,
+            fault=fault,
+            backend=backend,
+            deadline=deadline,
+        ))
+    return tasks
+
+
 @dataclass
 class CampaignSpec:
-    """A sweep grid.  ``expand()`` yields the Cartesian product
-    scenarios × protocols × flow_counts × overrides × seeds, in that
-    nesting order (seeds innermost)."""
+    """A sweep over synthesised scenarios.  ``expand()`` yields the
+    Cartesian product scenarios × protocols × flow_counts × overrides ×
+    seeds through :func:`expand_grid`."""
 
     scenarios: Sequence[str]
     protocols: Sequence[str]
@@ -165,8 +309,7 @@ class CampaignSpec:
     technology: str = "3g"
     cell_rate_bps: Optional[float] = None
     rtt: float = 0.01
-    #: None (default) resolves to the standard 5 s warm-up, shortened to
-    #: duration/5 so very short smoke sweeps still observe packets.
+    #: None (default) resolves to :func:`sweep_warmup`.
     warmup: Optional[float] = None
     base_seed: int = 0
     #: Config-override variants: each dict is merged over the protocol's
@@ -176,62 +319,22 @@ class CampaignSpec:
     override_labels: Optional[Sequence[str]] = None
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ValueError("seeds must be at least 1")
-        if not self.scenarios or not self.protocols or not self.flow_counts:
-            raise ValueError("scenarios, protocols and flow_counts must "
-                             "each have at least one entry")
-        if (self.override_labels is not None
-                and len(self.override_labels) != len(self.overrides)):
-            raise ValueError("override_labels must match overrides in length")
+        _check_axes(self.seeds, self.override_labels,
+                    scenarios=self.scenarios, protocols=self.protocols,
+                    flow_counts=self.flow_counts, overrides=self.overrides)
 
     def size(self) -> int:
         return (len(self.scenarios) * len(self.protocols)
                 * len(self.flow_counts) * len(self.overrides) * self.seeds)
 
     def expand(self) -> List[TaskSpec]:
-        """Expand the grid into per-cell tasks with derived seeds.
-
-        ``SeedSequence.spawn`` gives every cell an independent,
-        well-separated random stream; the spawn index is the cell's fixed
-        position in the grid, so the mapping cell → seed is stable under
-        any execution order and under ``--resume``."""
-        children = np.random.SeedSequence(self.base_seed).spawn(self.size())
-        warmup = (self.warmup if self.warmup is not None
-                  else min(5.0, self.duration / 5.0))
-        tasks: List[TaskSpec] = []
-        index = 0
-        for scenario in self.scenarios:
-            for protocol in self.protocols:
-                for flows in self.flow_counts:
-                    for o_idx, override in enumerate(self.overrides):
-                        options = dict(DEFAULT_PROTOCOL_OPTIONS.get(protocol, {}))
-                        options.update(override)
-                        label = protocol
-                        if self.override_labels is not None:
-                            suffix = self.override_labels[o_idx]
-                            if suffix:
-                                label = f"{protocol}_{suffix}"
-                        elif len(self.overrides) > 1:
-                            label = f"{protocol}_v{o_idx}"
-                        for seed_index in range(self.seeds):
-                            seed = int(children[index].generate_state(1)[0])
-                            tasks.append(TaskSpec(
-                                scenario=scenario,
-                                protocol=protocol,
-                                flows=flows,
-                                duration=self.duration,
-                                seed=seed,
-                                seed_index=seed_index,
-                                technology=self.technology,
-                                cell_rate_bps=self.cell_rate_bps,
-                                rtt=self.rtt,
-                                warmup=warmup,
-                                label=label,
-                                options=tuple(sorted(options.items())),
-                            ))
-                            index += 1
-        return tasks
+        return expand_grid(self.scenarios, self.protocols, self.flow_counts,
+                           self.seeds, duration=self.duration,
+                           warmup=self.warmup, technology=self.technology,
+                           cell_rate_bps=self.cell_rate_bps, rtt=self.rtt,
+                           overrides=self.overrides,
+                           override_labels=self.override_labels,
+                           base_seed=self.base_seed)
 
 
 #: Per-worker-process memo of parsed corpus traces, keyed by
@@ -284,8 +387,13 @@ def _load_task_trace(spec: "TaskSpec") -> np.ndarray:
 
 
 def run_simulation_task(payload: dict) -> dict:
-    """Execute one grid cell: generate the scenario trace, run the
+    """Execute one grid cell: load or synthesise its trace, run the
     contention experiment, return the JSON-safe result summary.
+
+    A cell without a fault returns the run's ``summary()``.  A faulted
+    cell runs its schedule on its backend and returns the ``summary()``
+    keys plus the recovery verdict (``recovery``, ``recovered``,
+    ``fault_stats``, ``senders``, ``live_counters``).
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
     pickle it to worker processes.
@@ -322,11 +430,30 @@ def run_simulation_task(payload: dict) -> dict:
     flow_specs = repeat_flows(spec.protocol, spec.flows, label=spec.label,
                               **spec.options_dict())
     t1 = perf()
-    result = run_trace_contention(trace, flow_specs, duration=spec.duration,
-                                  rtt=spec.rtt, warmup=spec.warmup,
-                                  seed=spec.seed)
+    if spec.fault is None:
+        summary = run_trace_contention(trace, flow_specs,
+                                       duration=spec.duration, rtt=spec.rtt,
+                                       warmup=spec.warmup,
+                                       seed=spec.seed).summary()
+    else:
+        from ..faults.chaos import recovery_verdict
+        from ..faults.spec import make_schedule
+
+        schedule = make_schedule(spec.fault, spec.duration)
+        if spec.backend == "sim":
+            result = run_trace_contention(trace, flow_specs,
+                                          duration=spec.duration,
+                                          rtt=spec.rtt, warmup=spec.warmup,
+                                          seed=spec.seed, faults=schedule)
+        else:
+            from ..live.session import run_live_session
+            result = run_live_session(flow_specs, trace=trace,
+                                      duration=spec.duration,
+                                      warmup=spec.warmup, seed=spec.seed,
+                                      fault_schedule=schedule)
+        summary = result.summary()
+        summary.update(recovery_verdict(result, schedule, spec.deadline))
     sim_seconds = perf() - t1
-    summary = result.summary()
     if want_timings:
         timings = {
             "trace_gen_s": round(trace_seconds, 6),

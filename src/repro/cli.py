@@ -96,87 +96,74 @@ def _run_live(args) -> None:
                            title="equivalent simulated run (same trace)"))
 
 
-def _run_sweep(args) -> int:
-    """``repro sweep``: expand a campaign grid, run it through the
-    engine, print the aggregated table plus cache accounting.
+def _run_grid(args, channels, grid: dict, *, noun: str, grid_title: str,
+              columns, summarise, rows_title: str, note=None, verdict=None,
+              telemetry: bool = False) -> int:
+    """The driver ``repro sweep`` and ``repro chaos`` share; returns the
+    exit code.
 
-    With ``--corpus``, the scenario axis comes from a trace corpus
-    instead of the synthetic channel: every (selected) trace becomes a
-    grid entry whose cells replay that trace, pinned by content hash.
+    The grid is ``channels`` × the protocols × the ``grid`` axes
+    (:func:`~repro.campaign.expand_grid` arguments); under ``--corpus``
+    ``channels`` names corpus traces (None: every trace), otherwise
+    synthetic scenarios.  A bad argument exits 2 before any cell runs,
+    and ``--dry-run`` prints the grid and exits 0.  Otherwise every cell
+    runs through :func:`~repro.campaign.run_campaign` and the store,
+    ``summarise(result)`` turns the run into the printed (and ``--out``)
+    rows, and ``verdict(result)`` gives the exit code (by default 0 iff
+    every cell ran).
     """
     from .campaign import (
-        CampaignSpec,
         ResultStore,
-        aggregate_campaign,
         aggregate_timings,
+        expand_grid,
         rows_as_json,
         run_campaign,
     )
+    from .traces import CorpusError, expand_corpus, load_corpus
 
+    protocols = args.protocol or ["verus", "cubic"]
+    grid = dict(grid, seeds=args.seeds, duration=args.duration,
+                base_seed=args.base_seed)
     try:
         if args.corpus:
-            from .traces import CorpusError, expand_corpus, load_corpus
-            try:
-                corpus = load_corpus(args.corpus)
-                tasks = expand_corpus(
-                    corpus,
-                    protocols=args.protocol or ["verus", "cubic"],
-                    flow_counts=args.flows or [3],
-                    seeds=args.seeds,
-                    duration=args.duration,
-                    base_seed=args.base_seed,
-                    names=args.scenario or None,
-                )
-            except CorpusError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            tasks = expand_corpus(load_corpus(args.corpus), protocols,
+                                  names=channels, **grid)
         else:
-            spec = CampaignSpec(
-                scenarios=args.scenario or ["campus_pedestrian",
-                                            "city_driving"],
-                protocols=args.protocol or ["verus", "cubic"],
-                flow_counts=args.flows or [3],
-                seeds=args.seeds,
-                duration=(args.duration if args.duration is not None
-                          else 30.0),
-                technology=args.technology,
-                base_seed=args.base_seed,
-            )
-            tasks = spec.expand()
-    except ValueError as exc:
+            tasks = expand_grid(channels, protocols, **grid)
+    except (ValueError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.dry_run:
-        rows = [{"task": i, "scenario": t.scenario, "protocol": t.protocol,
-                 "label": t.label, "flows": t.flows,
+        rows = [{"task": i, **{c: getattr(t, c) for c in columns},
                  "seed_index": t.seed_index, "seed": t.seed,
                  "key": t.key()[:12]} for i, t in enumerate(tasks)]
-        print(format_table(rows, title=f"campaign grid ({len(tasks)} tasks, "
-                                       f"dry run)"))
+        print(format_table(rows, title=f"{grid_title} ({len(tasks)} "
+                                       f"{noun}s, dry run)"))
         return 0
 
     store = None if args.no_cache else ResultStore(args.cache_dir)
 
     def progress(outcome, done, total) -> None:
-        note = outcome.status
+        status = outcome.status
+        if note is not None and outcome.ok:
+            status += note(outcome.result)
         if outcome.error:
-            note += f": {outcome.error}"
-        print(f"[{done}/{total}] task {outcome.index} {note} "
+            status += f": {outcome.error}"
+        print(f"[{done}/{total}] {noun} {outcome.index} {status} "
               f"({outcome.seconds:.1f}s)", file=sys.stderr)
 
     result = run_campaign(tasks, jobs=args.jobs, store=store,
                           resume=args.resume, timeout=args.timeout,
                           retries=args.retries, progress=progress,
-                          collect_timings=args.telemetry)
-    rows = aggregate_campaign(result.tasks, result.outcomes)
-    print(format_table(rows, title="campaign summary (mean over seeds, "
-                                   "95% CI)"))
+                          collect_timings=telemetry)
+    rows = summarise(result)
+    print(format_table(rows, title=rows_title))
     stats = result.stats
-    print(f"tasks: {stats.total}  executed: {stats.executed}  "
+    print(f"{noun}s: {stats.total}  executed: {stats.executed}  "
           f"cached: {stats.cached}  failed: "
           f"{stats.failed + stats.timeouts}  retries: {stats.retries}")
-    if args.telemetry:
+    if telemetry:
         rollup = aggregate_timings(result.outcomes)
         if rollup is None:
             print("telemetry: no task carried timings (all results were "
@@ -198,105 +185,71 @@ def _run_sweep(args) -> int:
     if args.out:
         from pathlib import Path
         Path(args.out).write_text(rows_as_json(rows))
-        print(f"wrote aggregated rows to {args.out}")
+        print(f"wrote rows to {args.out}")
+    if verdict is not None:
+        return verdict(result)
     return 0 if result.all_ok else 1
+
+
+def _run_sweep(args) -> int:
+    """``repro sweep``: expand a campaign grid, run it through the
+    engine, print the aggregated table plus cache accounting.
+
+    With ``--corpus``, the scenario axis comes from a trace corpus
+    instead of the synthetic channel: every (selected) trace becomes a
+    grid entry whose cells replay that trace, pinned by content hash.
+    """
+    from .campaign import aggregate_campaign
+
+    channels = args.scenario
+    grid = {"flow_counts": args.flows or [3]}
+    if not args.corpus:
+        channels = channels or ["campus_pedestrian", "city_driving"]
+        grid["technology"] = args.technology
+    return _run_grid(
+        args, channels, grid, noun="task", grid_title="campaign grid",
+        columns=("scenario", "protocol", "label", "flows"),
+        summarise=lambda run: aggregate_campaign(run.tasks, run.outcomes),
+        rows_title="campaign summary (mean over seeds, 95% CI)",
+        telemetry=args.telemetry)
+
+
+def _chaos_note(result: dict) -> str:
+    note = " recovered" if result.get("recovered") else " NOT-RECOVERED"
+    return note + (" degraded" if result.get("degraded") else "")
+
+
+def _chaos_verdict(result) -> int:
+    if not result.all_ok:
+        print("FAIL: some cells did not execute", file=sys.stderr)
+        return 1
+    if not all(o.result.get("recovered") for o in result.outcomes):
+        print("FAIL: some flows did not recover post-disruption",
+              file=sys.stderr)
+        return 1
+    print("all flows recovered")
+    return 0
 
 
 def _run_chaos(args) -> int:
     """``repro chaos``: expand a (protocol × fault × seed) acceptance
     matrix, run it through the campaign engine, and fail unless every
     cell recovered post-disruption."""
-    from .campaign import ResultStore
-    from .faults import FAULT_PRESETS, expand_chaos, run_chaos_matrix
+    from .faults import chaos_warmup, recovery_rows
 
-    backends = ["sim", "live"] if args.backend == "both" else [args.backend]
-    try:
-        if args.corpus:
-            from .traces import CorpusError, expand_corpus_chaos, load_corpus
-            try:
-                corpus = load_corpus(args.corpus)
-                tasks = expand_corpus_chaos(
-                    corpus,
-                    protocols=args.protocol or ["verus", "cubic"],
-                    faults=args.fault or ["blackout", "chaos"],
-                    seeds=args.seeds,
-                    duration=args.duration,
-                    backends=backends,
-                    flows=args.flows,
-                    deadline=args.deadline,
-                    base_seed=args.base_seed,
-                    names=args.trace or None,
-                )
-            except CorpusError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            tasks = expand_chaos(
-                protocols=args.protocol or ["verus", "cubic"],
+    grid = dict(flow_counts=[args.flows],
                 faults=args.fault or ["blackout", "chaos"],
-                seeds=args.seeds,
-                duration=(args.duration if args.duration is not None
-                          else 20.0),
-                backends=backends,
-                scenario=args.scenario,
-                flows=args.flows,
-                deadline=args.deadline,
-                base_seed=args.base_seed,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.dry_run:
-        rows = [{"task": i, "protocol": t.protocol, "fault": t.fault,
-                 "backend": t.backend, "seed_index": t.seed_index,
-                 "seed": t.seed, "key": t.key()[:12]}
-                for i, t in enumerate(tasks)]
-        print(format_table(rows, title=f"chaos matrix ({len(tasks)} cells, "
-                                       f"dry run)"))
-        return 0
-
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-
-    def progress(outcome, done, total) -> None:
-        note = outcome.status
-        if outcome.ok and isinstance(outcome.result, dict):
-            note += (" recovered" if outcome.result.get("recovered")
-                     else " NOT-RECOVERED")
-            if outcome.result.get("degraded"):
-                note += " degraded"
-        if outcome.error:
-            note += f": {outcome.error}"
-        print(f"[{done}/{total}] cell {outcome.index} {note} "
-              f"({outcome.seconds:.1f}s)", file=sys.stderr)
-
-    result = run_chaos_matrix(tasks, jobs=args.jobs, store=store,
-                              resume=args.resume, timeout=args.timeout,
-                              retries=args.retries, progress=progress)
-    rows = result.rows()
-    print(format_table(rows, title="chaos acceptance matrix "
-                                   "(recovered / cells per group)"))
-    stats = result.stats
-    print(f"cells: {stats.total}  executed: {stats.executed}  "
-          f"cached: {stats.cached}  failed: "
-          f"{stats.failed + stats.timeouts}  retries: {stats.retries}")
-    if store is not None:
-        print(f"cache '{args.cache_dir}': {store.hits} hits, "
-              f"{store.misses} misses, {store.writes} writes")
-    if args.out:
-        import json
-        from pathlib import Path
-        Path(args.out).write_text(json.dumps(rows, indent=2))
-        print(f"wrote matrix rows to {args.out}")
-    if not result.all_ok:
-        print("FAIL: some cells did not execute", file=sys.stderr)
-        return 1
-    if not result.all_recovered:
-        print("FAIL: some flows did not recover post-disruption",
-              file=sys.stderr)
-        return 1
-    print("all flows recovered")
-    return 0
+                backends=(["sim", "live"] if args.backend == "both"
+                          else [args.backend]),
+                deadline=args.deadline, default_duration=20.0,
+                warmup=chaos_warmup)
+    return _run_grid(
+        args, args.trace if args.corpus else [args.scenario], grid,
+        noun="cell", grid_title="chaos matrix",
+        columns=("protocol", "fault", "backend"),
+        summarise=lambda run: recovery_rows(run.tasks, run.outcomes),
+        rows_title="chaos acceptance matrix (recovered / cells per group)",
+        note=_chaos_note, verdict=_chaos_verdict)
 
 
 def _run_check(args) -> int:

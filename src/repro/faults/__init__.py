@@ -6,23 +6,22 @@ clock jumps — and compiles sim-side to a composable
 :class:`FaultInjector` link (passed as
 ``run_trace_contention(..., faults=schedule)``) and live-side to
 injection hooks in the UDP emulator, so the same scenario stresses the
-simulator and the real-socket path identically.  The chaos acceptance matrix
-(:func:`run_chaos_matrix`, ``repro chaos``) grids (protocol × fault ×
-seed) through the campaign executor and judges every cell on
-post-disruption recovery.
+simulator and the real-socket path identically.  The chaos acceptance
+matrix (``repro chaos``) is a grid of
+:class:`~repro.campaign.spec.TaskSpec` cells with a ``fault`` and a
+``backend`` axis, run through the campaign executor; each cell is judged
+on post-disruption recovery by :func:`recovery_verdict`.
 """
 
 from .chaos import (
-    BACKENDS,
-    ChaosResult,
-    ChaosTask,
+    chaos_warmup,
     disruption_window,
-    expand_chaos,
-    run_chaos_matrix,
-    run_chaos_task,
+    recovery_rows,
+    recovery_verdict,
 )
 from .injector import FaultInjector, FaultStats
 from .spec import (
+    BACKENDS,
     DIRECTIONS,
     FAULT_KINDS,
     FAULT_PRESETS,
@@ -33,8 +32,6 @@ from .spec import (
 
 __all__ = [
     "BACKENDS",
-    "ChaosResult",
-    "ChaosTask",
     "DIRECTIONS",
     "FAULT_KINDS",
     "FAULT_PRESETS",
@@ -42,9 +39,9 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "FaultStats",
+    "chaos_warmup",
     "disruption_window",
-    "expand_chaos",
     "make_schedule",
-    "run_chaos_matrix",
-    "run_chaos_task",
+    "recovery_rows",
+    "recovery_verdict",
 ]

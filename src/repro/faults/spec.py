@@ -287,3 +287,7 @@ def make_schedule(name: str, duration: float) -> FaultSchedule:
 FAULT_PRESETS = ("none", "blackout", "uplink_blackout", "burst_loss",
                  "corruption", "duplication", "reorder_storm", "flap",
                  "clock_jump", "chaos")
+
+#: Where a cell runs its schedule: the discrete-event simulator or the
+#: live UDP loopback emulator.
+BACKENDS = ("sim", "live")

@@ -36,11 +36,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..campaign.executor import run_tasks
-from ..campaign.spec import _canonical_json
+from ..campaign.spec import (Channel, TaskSpec, _canonical_json,
+                             run_simulation_task)
 from ..campaign.store import ResultStore
 from ..cellular import SCENARIO_NAMES
 from ..experiments.runner import PROTOCOL_NAMES
-from ..faults.chaos import ChaosTask, run_chaos_task
+from ..faults.chaos import chaos_warmup
 from ..faults.spec import FAULT_PRESETS
 from .blackbox import ArmedSession, dump_bundle, normalize_traceback
 from .triage import (
@@ -132,48 +133,43 @@ class SoakAxes:
 
     protocols: Tuple[str, ...]
     faults: Tuple[str, ...]
-    #: (label, trace_file, trace_sha256) triples; synth scenarios carry
-    #: (name, None, None).
-    channels: Tuple[Tuple[str, Optional[str], Optional[str]], ...]
+    channels: Tuple[Channel, ...]
 
 
 def build_axes(spec: SoakSpec) -> SoakAxes:
     if spec.corpus is not None:
         from ..traces.corpus import load_corpus
+        from ..traces.workload import corpus_channels
         corpus = load_corpus(spec.corpus)
         corpus.materialize()
-        channels = tuple(
-            (name, str((corpus.root / corpus.entry(name).file).resolve()),
-             corpus.entry(name).sha256)
-            for name in corpus.names())
+        channels = tuple(corpus_channels(corpus))
         if not channels:
             raise ValueError(f"corpus {spec.corpus} has no traces")
     else:
-        channels = tuple((name, None, None) for name in spec.scenarios)
+        channels = tuple(Channel(name) for name in spec.scenarios)
     return SoakAxes(protocols=tuple(spec.protocols),
                     faults=tuple(spec.faults), channels=channels)
 
 
-def draw_cell(spec: SoakSpec, axes: SoakAxes, draw: int) -> ChaosTask:
+def draw_cell(spec: SoakSpec, axes: SoakAxes, draw: int) -> TaskSpec:
     """Cell for draw index ``draw`` — a pure function of (seed, axes,
     draw), independent of batching and of every other draw."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(0, draw)))
     protocol = axes.protocols[int(rng.integers(len(axes.protocols)))]
     fault = axes.faults[int(rng.integers(len(axes.faults)))]
-    label, trace_file, trace_sha = \
-        axes.channels[int(rng.integers(len(axes.channels)))]
+    channel = axes.channels[int(rng.integers(len(axes.channels)))]
     seed = int(np.random.SeedSequence(
         entropy=spec.seed, spawn_key=(1, draw)).generate_state(1)[0])
-    return ChaosTask(
-        protocol=protocol, fault=fault, duration=spec.duration,
-        seed=seed, seed_index=draw, backend="sim", scenario=label,
-        flows=spec.flows, rtt=spec.rtt,
-        warmup=min(1.0, spec.duration / 10.0), deadline=spec.deadline,
-        trace_file=trace_file, trace_sha256=trace_sha)
+    return TaskSpec(
+        scenario=channel.scenario, protocol=protocol, flows=spec.flows,
+        duration=spec.duration, seed=seed, seed_index=draw, rtt=spec.rtt,
+        warmup=chaos_warmup(spec.duration),
+        trace_file=channel.trace_file, trace_sha256=channel.trace_sha256,
+        fault=fault, deadline=spec.deadline)
 
 
-def cell_key(cell: ChaosTask, inject: Optional[dict]) -> str:
+def cell_key(cell: TaskSpec, inject: Optional[dict]) -> str:
     """Quarantine/cache key: the cell's content address, salted with the
     injection directive when one is active (an injected cell is a
     different task from its clean twin and must never share its cache
@@ -184,7 +180,7 @@ def cell_key(cell: ChaosTask, inject: Optional[dict]) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def draw_digest(cells: Sequence[ChaosTask]) -> str:
+def draw_digest(cells: Sequence[TaskSpec]) -> str:
     """SHA-256 over the canonical JSON of all drawn cells — the value CI
     asserts is bit-identical across same-seed runs."""
     body = _canonical_json({"schema": SOAK_SCHEMA,
@@ -252,7 +248,7 @@ def run_soak_cell(payload: dict) -> dict:
         from ..obs.timeline import telemetry
         try:
             with telemetry(session):
-                result = run_chaos_task(clean)
+                result = run_simulation_task(clean)
         except Exception as exc:
             bundles = soak.get("bundles")
             if bundles:
@@ -354,7 +350,7 @@ def _parse_worker_markers(error: Optional[str]
             bundle.group(1) if bundle else None)
 
 
-def _record_outcome(spec: SoakSpec, draw: int, cell: ChaosTask, key: str,
+def _record_outcome(spec: SoakSpec, draw: int, cell: TaskSpec, key: str,
                     inject: Optional[dict], outcome,
                     bundles_dir: Path) -> SoakRecord:
     """Classify one executor outcome; dump a parent-side bundle when the
@@ -424,7 +420,7 @@ def run_soak(spec: SoakSpec, *, fresh: bool = False,
     axes = build_axes(spec)
     started = time.monotonic()
     batch_size = max(4, spec.jobs * 4)
-    all_cells: List[ChaosTask] = []
+    all_cells: List[TaskSpec] = []
     records: List[SoakRecord] = []
     skipped = 0
     agg: Dict[str, int] = {"executed": 0, "cached": 0, "failed": 0,
@@ -556,7 +552,7 @@ def replay_cell(spec: SoakSpec, key_prefix: str,
     if found is None:
         raise KeyError(f"no soaked cell with key prefix {key_prefix!r} "
                        f"in {spec.state_dir}")
-    cell = ChaosTask.from_dict(found["cell"]["task"])
+    cell = TaskSpec.from_dict(found["cell"]["task"])
     inject = found["cell"].get("inject")
     state = Path(spec.state_dir)
     payload = cell.to_dict()

@@ -14,8 +14,8 @@ input layer:
 * :mod:`~repro.traces.corpus` — a content-addressed registry with
   SHA-256 integrity, named presets and import provenance;
 * :mod:`~repro.traces.workload` — deterministic augmentation
-  (scale / splice / resample) and expansion of a corpus into campaign
-  and chaos cells.
+  (scale / splice / resample) and expansion of a corpus into grid
+  cells.
 
 Dataflow::
 
@@ -26,7 +26,7 @@ Dataflow::
     corpus (manifest.json + traces/*.pps, SHA-256 addressed)
                  |
                  v
-    workload --expand--> TaskSpec / ChaosTask --> repro sweep / chaos
+    workload --expand--> TaskSpec --> repro sweep / chaos / soak
 """
 
 from .corpus import (
@@ -57,9 +57,9 @@ from .workload import (
     AUGMENT_OPS,
     apply_augment,
     augment_corpus,
+    corpus_channels,
     derive_seed,
     expand_corpus,
-    expand_corpus_chaos,
     splice_traces,
 )
 
@@ -82,10 +82,10 @@ __all__ = [
     "build_corpus",
     "characterize",
     "convert",
+    "corpus_channels",
     "derive_seed",
     "detect_format",
     "expand_corpus",
-    "expand_corpus_chaos",
     "import_trace",
     "load_corpus",
     "read_trace_ms",

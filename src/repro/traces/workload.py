@@ -20,11 +20,10 @@ Two halves:
    Seeds are *derived* (SeedSequence over base seed + trace name + op),
    so augmenting a corpus twice yields identical traces.
 
-2. **Expansion** turns a corpus into campaign/chaos cells: every trace
-   becomes a scenario axis entry whose :class:`TaskSpec` /
-   :class:`ChaosTask` pins the trace content by SHA-256, so ``repro
-   sweep --corpus`` and ``repro chaos --corpus`` run straight off the
-   registry with full cache correctness.
+2. **Expansion** turns a corpus into grid cells: every trace becomes a
+   channel axis entry whose :class:`TaskSpec` pins the trace content by
+   SHA-256, so ``repro sweep --corpus`` and ``repro chaos --corpus`` run
+   straight off the registry with full cache correctness.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..campaign.spec import DEFAULT_PROTOCOL_OPTIONS, TaskSpec
-from .corpus import Corpus, TraceEntry, trace_sha256
+from ..campaign.spec import Channel, TaskSpec, expand_grid
+from .corpus import Corpus, TraceEntry
 from .formats import validate_ms
 
 #: Registered augmentation ops: name -> (parent_ms, params, seed) -> ms.
@@ -196,105 +195,31 @@ def augment_corpus(corpus: Corpus, name: str, op: str, parent: str,
 # ----------------------------------------------------------------------
 # Corpus -> campaign expansion
 # ----------------------------------------------------------------------
+def corpus_channels(corpus: Corpus,
+                    names: Optional[Sequence[str]] = None) -> List[Channel]:
+    """The corpus's traces (every one, or ``names``) as grid channels
+    pinned by content hash, each carrying its recorded duration."""
+    channels = []
+    for name in (list(names) if names is not None else corpus.names()):
+        entry = corpus.entry(name)   # raises early on unknown names
+        channels.append(Channel(name,
+                                str((corpus.root / entry.file).resolve()),
+                                entry.sha256, entry.stats.get("duration_s")))
+    return channels
+
+
 def expand_corpus(corpus: Corpus, protocols: Sequence[str],
                   flow_counts: Sequence[int] = (3,), seeds: int = 1,
-                  duration: Optional[float] = None, rtt: float = 0.01,
-                  warmup: Optional[float] = None, base_seed: int = 0,
-                  names: Optional[Sequence[str]] = None) -> List[TaskSpec]:
-    """Expand traces × protocols × flow_counts × seeds into sweep cells.
+                  duration: Optional[float] = None, *,
+                  names: Optional[Sequence[str]] = None,
+                  **grid) -> List[TaskSpec]:
+    """Expand traces × protocols × flow_counts × seeds into cells.
 
-    Mirrors :meth:`~repro.campaign.spec.CampaignSpec.expand`: per-cell
-    seeds are SeedSequence-derived from the cell's grid position, so
-    the mapping is stable under any execution order and ``--jobs``.
-    ``duration=None`` runs each trace for its own recorded length.
+    :func:`~repro.campaign.spec.expand_grid` over
+    :func:`corpus_channels`; every further keyword (``base_seed``,
+    ``warmup``, ``faults``, ``backends``, ...) is an ``expand_grid``
+    argument.  ``duration=None`` runs each trace for its own recorded
+    length.
     """
-    if seeds < 1:
-        raise ValueError("seeds must be at least 1")
-    chosen = list(names) if names is not None else corpus.names()
-    if not chosen or not protocols or not flow_counts:
-        raise ValueError("corpus traces, protocols and flow_counts must "
-                         "each have at least one entry")
-    for name in chosen:
-        corpus.entry(name)   # raise early on unknown names
-    size = len(chosen) * len(protocols) * len(flow_counts) * seeds
-    children = np.random.SeedSequence(base_seed).spawn(size)
-    tasks: List[TaskSpec] = []
-    index = 0
-    for name in chosen:
-        entry = corpus.entry(name)
-        cell_duration = duration
-        if cell_duration is None:
-            cell_duration = float(entry.stats.get("duration_s") or 30.0)
-        cell_warmup = (warmup if warmup is not None
-                       else min(5.0, cell_duration / 5.0))
-        trace_path = str((corpus.root / entry.file).resolve())
-        for protocol in protocols:
-            for flows in flow_counts:
-                options = dict(DEFAULT_PROTOCOL_OPTIONS.get(protocol, {}))
-                for seed_index in range(seeds):
-                    seed = int(children[index].generate_state(1)[0])
-                    tasks.append(TaskSpec(
-                        scenario=name,
-                        protocol=protocol,
-                        flows=flows,
-                        duration=cell_duration,
-                        seed=seed,
-                        seed_index=seed_index,
-                        rtt=rtt,
-                        warmup=cell_warmup,
-                        label=protocol,
-                        options=tuple(sorted(options.items())),
-                        trace_file=trace_path,
-                        trace_sha256=entry.sha256,
-                    ))
-                    index += 1
-    return tasks
-
-
-def expand_corpus_chaos(corpus: Corpus, protocols: Sequence[str],
-                        faults: Sequence[str], seeds: int = 1,
-                        duration: Optional[float] = None,
-                        backends: Sequence[str] = ("sim",),
-                        flows: int = 1, rtt: float = 0.01,
-                        warmup: Optional[float] = None,
-                        deadline: float = 3.0, base_seed: int = 0,
-                        names: Optional[Sequence[str]] = None):
-    """Expand traces × protocols × faults × backends × seeds into chaos
-    cells pinned to corpus content, for ``repro chaos --corpus``."""
-    from ..faults.chaos import ChaosTask
-
-    if seeds < 1:
-        raise ValueError("seeds must be at least 1")
-    chosen = list(names) if names is not None else corpus.names()
-    if not chosen or not protocols or not faults or not backends:
-        raise ValueError("corpus traces, protocols, faults and backends "
-                         "must each have at least one entry")
-    for name in chosen:
-        corpus.entry(name)
-    size = len(chosen) * len(protocols) * len(faults) * len(backends) * seeds
-    children = np.random.SeedSequence(base_seed).spawn(size)
-    tasks: List[ChaosTask] = []
-    index = 0
-    for name in chosen:
-        entry = corpus.entry(name)
-        cell_duration = duration
-        if cell_duration is None:
-            cell_duration = float(entry.stats.get("duration_s") or 20.0)
-        cell_warmup = (warmup if warmup is not None
-                       else min(1.0, cell_duration / 10.0))
-        trace_path = str((corpus.root / entry.file).resolve())
-        for protocol in protocols:
-            for fault in faults:
-                for backend in backends:
-                    for seed_index in range(seeds):
-                        seed = int(children[index].generate_state(1)[0])
-                        tasks.append(ChaosTask(
-                            protocol=protocol, fault=fault,
-                            duration=cell_duration, seed=seed,
-                            seed_index=seed_index, backend=backend,
-                            scenario=name, flows=flows, rtt=rtt,
-                            warmup=cell_warmup, deadline=deadline,
-                            trace_file=trace_path,
-                            trace_sha256=entry.sha256))
-                        index += 1
-    return tasks
+    return expand_grid(corpus_channels(corpus, names), protocols,
+                       flow_counts, seeds, duration=duration, **grid)

@@ -75,10 +75,10 @@ class TestTaskSpec:
         """A copy of the package keys cells like the original; editing one
         of its source files moves every sweep and chaos key."""
         script = ("from repro.campaign import TaskSpec\n"
-                  "from repro.faults.chaos import ChaosTask\n"
                   "print(TaskSpec(scenario='city_driving', protocol='cubic',"
                   " flows=1, duration=5.0, seed=1).key(),"
-                  " ChaosTask('verus', 'blackout', 10.0, 42).key())")
+                  " TaskSpec(scenario='campus_stationary', protocol='verus',"
+                  " flows=1, duration=10.0, seed=42, fault='blackout').key())")
 
         def keys(src):
             return subprocess.run([sys.executable, "-c", script], cwd=src,

@@ -82,6 +82,14 @@ class TestSweep:
         assert "executed: 0" in second and "cached: 2" in second
         assert "2 hits" in second
 
+    def test_bad_duration_exits_2_before_any_cell_runs(self, capsys):
+        code = main(["sweep", "--scenario", "campus_pedestrian",
+                     "--protocol", "verus", "--duration", "0", "--no-cache"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: duration must be positive" in captured.err
+        assert "[1/1]" not in captured.err and captured.out == ""
+
     def test_sweep_writes_rows_json(self, tmp_path, capsys):
         import json
         out_file = tmp_path / "rows.json"

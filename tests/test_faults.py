@@ -15,19 +15,23 @@ import socket
 import numpy as np
 import pytest
 
+from repro.campaign import (
+    TaskSpec,
+    expand_grid,
+    run_campaign,
+    run_simulation_task,
+)
 from repro.experiments.runner import FlowSpec, run_trace_contention
 from repro.faults import (
     FAULT_PRESETS,
-    ChaosTask,
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    expand_chaos,
+    chaos_warmup,
+    disruption_window,
     make_schedule,
-    run_chaos_matrix,
-    run_chaos_task,
+    recovery_rows,
 )
-from repro.faults.chaos import disruption_window
 from repro.metrics import recovery_stats
 from repro.netsim import Packet, Simulator
 
@@ -395,57 +399,101 @@ class TestFaultedContention:
 # Chaos matrix
 # ----------------------------------------------------------------------
 
+def _chaos_cell(**fields) -> TaskSpec:
+    """A one-flow chaos cell: a blackout on ``campus_stationary``."""
+    cell = dict(scenario="campus_stationary", protocol="verus", flows=1,
+                duration=10.0, seed=42, warmup=1.0, fault="blackout")
+    cell.update(fields)
+    return TaskSpec(**cell)
+
+
 @pytest.mark.chaos
 class TestChaosMatrix:
     def test_task_validation_and_round_trip(self):
-        task = ChaosTask("verus", "blackout", 10.0, 42)
-        assert ChaosTask.from_dict(task.to_dict()) == task
-        assert len(task.schedule()) == 1
+        task = _chaos_cell()
+        assert TaskSpec.from_dict(task.to_dict()) == task
+        assert len(make_schedule(task.fault, task.duration)) == 1
         with pytest.raises(ValueError):
-            ChaosTask("smtp", "blackout", 10.0, 0)
+            _chaos_cell(protocol="smtp")
         with pytest.raises(ValueError):
-            ChaosTask("verus", "earthquake", 10.0, 0)
+            _chaos_cell(fault="earthquake")
         with pytest.raises(ValueError):
-            ChaosTask("verus", "blackout", 10.0, 0, backend="cloud")
+            _chaos_cell(backend="cloud")
+        with pytest.raises(ValueError, match="duration"):
+            _chaos_cell(duration=0.0)
+        with pytest.raises(ValueError, match="deadline"):
+            _chaos_cell(deadline=0.0)
+        with pytest.raises(ValueError, match="fault preset"):
+            _chaos_cell(fault=None, backend="live")
 
     def test_key_is_content_addressed(self):
-        a = ChaosTask("verus", "blackout", 10.0, 42)
-        b = ChaosTask("verus", "blackout", 10.0, 43)
-        assert a.key() == ChaosTask.from_dict(a.to_dict()).key()
+        a = _chaos_cell()
+        b = _chaos_cell(seed=43)
+        assert a.key() == TaskSpec.from_dict(a.to_dict()).key()
         assert a.key() != b.key()
+        assert a.key() != _chaos_cell(fault=None).key()
 
     def test_expand_grid(self):
-        tasks = expand_chaos(["verus", "cubic"], ["blackout", "none"],
-                             seeds=2, duration=10.0)
+        tasks = expand_grid(["campus_stationary"], ["verus", "cubic"], [1],
+                            seeds=2, duration=10.0,
+                            faults=["blackout", "none"], warmup=chaos_warmup)
         assert len(tasks) == 8
         assert len({t.seed for t in tasks}) == 8    # independent streams
         assert {t.warmup for t in tasks} == {1.0}
+        # protocol × fault × seed, seeds innermost, each cell seeded by
+        # its grid position.
+        assert [(t.protocol, t.fault, t.seed_index) for t in tasks] == [
+            (p, f, i) for p in ("verus", "cubic")
+            for f in ("blackout", "none") for i in range(2)]
+        children = np.random.SeedSequence(0).spawn(8)
+        assert [t.seed for t in tasks] == \
+            [int(c.generate_state(1)[0]) for c in children]
         with pytest.raises(ValueError):
-            expand_chaos([], ["blackout"])
+            expand_grid(["campus_stationary"], [], faults=["blackout"])
         with pytest.raises(ValueError):
-            expand_chaos(["verus"], ["blackout"], seeds=0)
+            expand_grid(["campus_stationary"], ["verus"], seeds=0,
+                        faults=["blackout"])
 
     def test_single_cell_verdict_payload(self):
-        task = ChaosTask("verus", "blackout", 10.0, 5)
-        out = run_chaos_task(task.to_dict())
+        task = _chaos_cell(seed=5)
+        out = run_simulation_task(task.to_dict())
         assert out["recovered"] and not out["degraded"]
-        assert out["task"] == task.to_dict()
+        assert out["flows"][0]["protocol"] == "verus"
         assert out["fault_stats"]["down"]["blackout_drops"] > 0
         assert out["recovery"][0]["recovery_time"] is not None
         assert out["senders"][0]["retransmissions"] >= 0
 
+    def test_empty_schedule_cell_matches_fault_free_cell(self):
+        """The worker's fault branch with the empty ``none`` schedule
+        yields the fault-free cell's summary, plus the verdict."""
+        clean = run_simulation_task(
+            _chaos_cell(fault=None, duration=6.0).to_dict())
+        assert set(clean) == {"duration", "warmup", "degraded",
+                              "degraded_reason", "degraded_code", "flows"}
+        out = run_simulation_task(
+            _chaos_cell(fault="none", duration=6.0).to_dict())
+        assert set(out) - set(clean) == {"recovery", "recovered",
+                                         "fault_stats", "senders",
+                                         "live_counters"}
+        assert json.dumps({k: out[k] for k in clean}, sort_keys=True) == \
+            json.dumps(clean, sort_keys=True)
+        assert out["recovered"]
+
     def test_matrix_runs_and_caches(self, tmp_path):
-        tasks = expand_chaos(["verus"], ["blackout", "none"], duration=8.0)
-        first = run_chaos_matrix(tasks, cache_dir=str(tmp_path))
-        assert first.all_ok and first.all_recovered
+        tasks = expand_grid(["campus_stationary"], ["verus"], [1],
+                            duration=8.0, faults=["blackout", "none"],
+                            warmup=chaos_warmup)
+        first = run_campaign(tasks, cache_dir=str(tmp_path))
+        assert first.all_ok
+        assert all(o.result["recovered"] for o in first.outcomes)
         assert first.stats.executed == 2
-        rows = first.rows()
+        rows = recovery_rows(first.tasks, first.outcomes)
         assert {r["fault"] for r in rows} == {"blackout", "none"}
         assert all(r["recovered"] == r["cells"] for r in rows)
         # Second pass is served from the content-addressed store.
-        again = run_chaos_matrix(tasks, cache_dir=str(tmp_path))
+        again = run_campaign(tasks, cache_dir=str(tmp_path))
         assert again.stats.cached == 2 and again.stats.executed == 0
-        assert again.all_recovered
+        assert all(o.result["recovered"] for o in again.outcomes)
 
 
 # ----------------------------------------------------------------------

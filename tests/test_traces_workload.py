@@ -18,7 +18,6 @@ from repro.traces import (
     build_corpus,
     derive_seed,
     expand_corpus,
-    expand_corpus_chaos,
     load_corpus,
     splice_traces,
 )
@@ -159,12 +158,14 @@ class TestExpandCorpus:
                           names=["ghost"])
 
     def test_chaos_expansion(self, mini_corpus):
-        tasks = expand_corpus_chaos(mini_corpus, protocols=["verus"],
-                                    faults=["blackout"], duration=5.0)
+        tasks = expand_corpus(mini_corpus, protocols=["verus"],
+                              flow_counts=[1], duration=5.0,
+                              faults=["blackout"])
         assert len(tasks) == len(mini_corpus.names())
         for task in tasks:
             assert task.trace_sha256 == \
                 mini_corpus.entry(task.scenario).sha256
+            assert task.fault == "blackout" and task.backend == "sim"
         assert len({t.key() for t in tasks}) == len(tasks)
 
 
