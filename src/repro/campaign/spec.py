@@ -422,10 +422,13 @@ def run_simulation_task(payload: dict) -> dict:
     if spec.trace_file is not None:
         trace = _load_task_trace(spec)
     else:
+        # The run's RED queue draws SeedSequence(seed) itself, so the
+        # channel is synthesised from a seed derived from it.
+        from ..traces.workload import derive_seed
         trace = generate_scenario_trace(spec.scenario, duration=spec.duration,
                                         technology=spec.technology,
                                         mean_rate_bps=spec.cell_rate_bps,
-                                        seed=spec.seed)
+                                        seed=derive_seed(spec.seed, "trace"))
     trace_seconds = perf() - t0
     flow_specs = repeat_flows(spec.protocol, spec.flows, label=spec.label,
                               **spec.options_dict())

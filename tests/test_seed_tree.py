@@ -19,6 +19,8 @@ synthesising a trace or schedule must not draw any stream a run draws.
 import numpy as np
 import pytest
 
+import repro.cellular
+from repro.campaign import TaskSpec, run_simulation_task
 from repro.cellular import generate_scenario_trace
 from repro.check.scenarios import CheckScenario, build_scenario, run_audited
 from repro.experiments.runner import (FlowSpec, repeat_flows,
@@ -203,6 +205,16 @@ def test_synthesised_inputs_use_their_own_streams(recorder, entry):
         recorder.record_inputs(short_flows, "generate_scenario_trace")
         short_flows.fct_sweep(sizes=(50_000,), protocols=("verus",),
                               duration=3.0, repetitions=2, seed=SEED)
+    recorder.assert_inputs_apart()
+
+
+@pytest.mark.parametrize("fault", [None, "blackout"],
+                         ids=["fault-free", "faulted"])
+def test_worker_synthesises_its_cell_from_its_own_stream(recorder, fault):
+    recorder.record_inputs(repro.cellular, "generate_scenario_trace")
+    cell = TaskSpec(scenario="city_stationary", protocol="pcc", flows=2,
+                    duration=2.0, seed=SEED, warmup=0.0, fault=fault)
+    run_simulation_task(cell.to_dict())
     recorder.assert_inputs_apart()
 
 
