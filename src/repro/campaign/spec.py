@@ -17,8 +17,8 @@ front ends to it).  Each cell is
   serial one.
 
 A cell without a fault returns the run's ``summary()``; a cell with a
-fault preset also runs that schedule on its backend and adds the
-recovery verdict of :func:`repro.faults.chaos.recovery_verdict`.
+fault preset also runs that schedule and adds the recovery verdict of
+:func:`repro.faults.chaos.recovery_verdict`.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ class TaskSpec:
     hash rather than the path, so moving a corpus does not invalidate
     cached results.
 
+    ``backend`` runs the cell on the simulator or the live UDP loopback.
     ``fault`` names a preset of :data:`repro.faults.spec.FAULT_PRESETS`
-    (``None``, the default, runs the cell undisturbed).  A faulted cell
-    runs its schedule on ``backend`` — the simulator or the live UDP
-    loopback — and is judged on recovery within ``deadline`` seconds of
-    the disruption.
+    (``None``, the default, runs the cell undisturbed); a faulted cell is
+    judged on recovery within ``deadline`` seconds of the disruption.
     """
 
     scenario: str
@@ -118,9 +117,6 @@ class TaskSpec:
                              f"choose from {FAULT_PRESETS}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.fault is None and self.backend != "sim":
-            raise ValueError("a live cell needs a fault preset "
-                             "('none' runs it undisturbed)")
         if self.trace_file is None and self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {SCENARIO_NAMES} "
@@ -390,10 +386,10 @@ def run_simulation_task(payload: dict) -> dict:
     """Execute one grid cell: load or synthesise its trace, run the
     contention experiment, return the JSON-safe result summary.
 
-    A cell without a fault returns the run's ``summary()``.  A faulted
-    cell runs its schedule on its backend and returns the ``summary()``
-    keys plus the recovery verdict (``recovery``, ``recovered``,
-    ``fault_stats``, ``senders``, ``live_counters``).
+    The cell runs on its backend.  Without a fault it returns the run's
+    ``summary()``; a faulted cell runs its schedule and returns the
+    ``summary()`` keys plus the recovery verdict (``recovery``,
+    ``recovered``, ``fault_stats``, ``senders``, ``live_counters``).
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
     pickle it to worker processes.
@@ -433,28 +429,23 @@ def run_simulation_task(payload: dict) -> dict:
     flow_specs = repeat_flows(spec.protocol, spec.flows, label=spec.label,
                               **spec.options_dict())
     t1 = perf()
-    if spec.fault is None:
-        summary = run_trace_contention(trace, flow_specs,
-                                       duration=spec.duration, rtt=spec.rtt,
-                                       warmup=spec.warmup,
-                                       seed=spec.seed).summary()
-    else:
-        from ..faults.chaos import recovery_verdict
+    schedule = None
+    if spec.fault is not None:
         from ..faults.spec import make_schedule
-
         schedule = make_schedule(spec.fault, spec.duration)
-        if spec.backend == "sim":
-            result = run_trace_contention(trace, flow_specs,
-                                          duration=spec.duration,
-                                          rtt=spec.rtt, warmup=spec.warmup,
-                                          seed=spec.seed, faults=schedule)
-        else:
-            from ..live.session import run_live_session
-            result = run_live_session(flow_specs, trace=trace,
-                                      duration=spec.duration,
+    if spec.backend == "live":
+        from ..live.session import run_live_session
+        result = run_live_session(flow_specs, trace=trace,
+                                  duration=spec.duration, warmup=spec.warmup,
+                                  seed=spec.seed, fault_schedule=schedule)
+    else:
+        result = run_trace_contention(trace, flow_specs,
+                                      duration=spec.duration, rtt=spec.rtt,
                                       warmup=spec.warmup, seed=spec.seed,
-                                      fault_schedule=schedule)
-        summary = result.summary()
+                                      faults=schedule)
+    summary = result.summary()
+    if schedule is not None:
+        from ..faults.chaos import recovery_verdict
         summary.update(recovery_verdict(result, schedule, spec.deadline))
     sim_seconds = perf() - t1
     if want_timings:

@@ -423,8 +423,6 @@ class TestChaosMatrix:
             _chaos_cell(duration=0.0)
         with pytest.raises(ValueError, match="deadline"):
             _chaos_cell(deadline=0.0)
-        with pytest.raises(ValueError, match="fault preset"):
-            _chaos_cell(fault=None, backend="live")
 
     def test_key_is_content_addressed(self):
         a = _chaos_cell()
