@@ -219,7 +219,7 @@ def _tracelink_wrap_off_by_one():
             # Seeded defect: the cycle counter is bumped twice at the seam.
             self._cycle += 2
             self._cycle_base = self._origin + self._cycle * self._period
-        when = self._cycle_base + self._times_list[i]
+        when = self._cycle_base + self._times_view[i]
         if when < now:
             when = now
         self.sim.call_at(when, self._opportunity)

@@ -240,6 +240,14 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
     sim.run(until=duration)
     if session is not None:
         session.finalize(sim)
+    # Teardown: with the pending events gone and every sender cut from
+    # its forward access line, nothing the result keeps (senders, their
+    # timers and ACK paths, receivers) reaches the bottleneck, so the
+    # link, its queue and its trace are freed by reference counting as
+    # soon as this returns, not at the collector's next full pass.
+    sim.drop_pending()
+    for sender in senders:
+        sender.detach()
     return ExperimentResult(list(specs), senders, receivers, duration, warmup)
 
 

@@ -245,6 +245,21 @@ class Simulator:
         """Stop the current ``run`` after the in-flight callback returns."""
         self._stopped = True
 
+    def drop_pending(self) -> None:
+        """Discard every queued event and cancel any handle still live.
+
+        For the end of a run: heap entries hold bound methods of links,
+        timers and in-flight packets, so dropping them lets reference
+        counting free the network instead of the cyclic collector.
+        """
+        for entry in self._heap:
+            event = entry[2]
+            if event is not None:
+                event.cancelled = True
+                event._sim = None
+        self._heap.clear()
+        self._corpses = 0
+
     # ------------------------------------------------------------------
     # Corpse accounting
     # ------------------------------------------------------------------

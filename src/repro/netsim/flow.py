@@ -89,6 +89,11 @@ class SenderProtocol:
         self.sim = sim
         self._tx = tx
 
+    def detach(self) -> None:
+        """Drop the transmit path :meth:`attach` set.  The clock stays, so
+        a finished sender's state (``now``, counters) remains readable."""
+        self._tx = None
+
     def send(self, packet: Packet) -> None:
         if self._tx is None or self.sim is None:
             raise RuntimeError("sender not attached to a network path")

@@ -92,15 +92,16 @@ class TraceLink:
         self._origin = sim.now
         self._index = 0
         self._cycle = 0
-        # Per-opportunity schedule math, precomputed once: the trace
-        # timestamps as plain Python floats (identical doubles to the
-        # numpy elements), the loop period, and the current cycle's base
-        # offset ``origin + cycle * period``.  The base is recomputed by
-        # multiplication at each wraparound — never accumulated — so the
-        # instant of opportunity i in cycle c is exactly the value the
-        # per-call expression used to produce.
-        self._times_list = times.tolist()
-        self._n = len(self._times_list)
+        # Per-opportunity schedule math, precomputed once: a memoryview
+        # of the trace timestamps (indexing it yields a Python float with
+        # the numpy element's exact double, without a per-element object
+        # copy of the whole trace), the loop period, and the current
+        # cycle's base offset ``origin + cycle * period``.  The base is
+        # recomputed by multiplication at each wraparound — never
+        # accumulated — so the instant of opportunity i in cycle c is
+        # exactly the value the per-call expression used to produce.
+        self._times_view = memoryview(times)
+        self._n = times.size
         self._period = float(times[-1] - times[0]) + self.gap_s
         self._cycle_base = self._origin
         self.delivered = 0
@@ -132,7 +133,7 @@ class TraceLink:
             self._index = 0
             self._cycle += 1
             self._cycle_base = self._origin + self._cycle * self._period
-        return self._cycle_base + self._times_list[self._index]
+        return self._cycle_base + self._times_view[self._index]
 
     def _schedule_next(self) -> None:
         when = self._next_opportunity_time()
@@ -158,8 +159,8 @@ class TraceLink:
         if not served_any:
             self.wasted_opportunities += 1
         # Inlined _schedule_next: the common case (more opportunities in
-        # the current cycle, strictly-future instant) is one list index
-        # and one add per event.
+        # the current cycle, strictly-future instant) is one memoryview
+        # index and one add per event.
         i = self._index
         if i >= self._n:
             if not self.loop:
@@ -167,7 +168,7 @@ class TraceLink:
             self._index = i = 0
             self._cycle += 1
             self._cycle_base = self._origin + self._cycle * self._period
-        when = self._cycle_base + self._times_list[i]
+        when = self._cycle_base + self._times_view[i]
         if when < now:
             when = now
         self.sim.call_at(when, self._opportunity)

@@ -138,6 +138,21 @@ class TestCancellation:
         event.cancel()
         assert sim.pending() == 1
 
+    def test_drop_pending_discards_and_cancels(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(1.0, seen.append, "handle")
+        sim.call_later(2.0, seen.append, "fast")
+        dead = sim.schedule(3.0, seen.append, "corpse")
+        dead.cancel()
+        sim.drop_pending()
+        assert sim.pending() == 0
+        assert not event.active
+        event.cancel()            # a late cancel leaves the count alone
+        assert sim.pending() == 0
+        sim.run()
+        assert seen == []
+
 
 class TestPeriodicTimer:
     def test_fires_repeatedly(self):

@@ -284,6 +284,17 @@ class TestTraceLink:
         measured = len(sink) * 1400 * 8 / elapsed
         assert measured == pytest.approx(link.average_rate_bps(), rel=0.05)
 
+    def test_replay_schedule_is_the_trace_as_floats(self):
+        """The memoryview schedule yields exactly ``times.tolist()``:
+        the same doubles, as Python floats, element for element."""
+        times = np.cumsum(np.random.default_rng(3).exponential(0.001, 500))
+        link = TraceLink(Simulator(), times, dst=lambda p: None)
+        expected = times.tolist()
+        got = [link._times_view[i] for i in range(link._n)]
+        assert link._n == len(expected)
+        assert all(type(x) is float for x in got)
+        assert got == expected
+
     def test_rejects_unsorted_trace(self):
         with pytest.raises(ValueError):
             TraceLink(Simulator(), [0.02, 0.01])

@@ -32,10 +32,12 @@ summary lists exactly which cells moved.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,8 @@ from repro.check import (
     run_audited,
 )
 from repro.experiments import FlowSpec, repeat_flows, run_trace_contention
+from repro.experiments import runner
+from repro.netsim import TraceLink
 from repro.faults import FaultEvent, FaultSchedule
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "perf_equivalence"
@@ -86,7 +90,7 @@ def _case_id(protocol: str, trace: str, faulted: bool) -> str:
     return f"{protocol}-{trace}-{'faults' if faulted else 'clean'}"
 
 
-def _run_case(protocol: str, trace_name: str, faulted: bool) -> dict:
+def _run_result(protocol: str, trace_name: str, faulted: bool):
     # Seeds are pinned per cell so every run of the matrix replays the
     # exact same trace, queue RNG and fault draws.
     seed = 100 + 7 * PROTOCOLS.index(protocol) + TRACES.index(trace_name)
@@ -94,10 +98,13 @@ def _run_case(protocol: str, trace_name: str, faulted: bool) -> dict:
                                     technology="3g", seed=seed)
     options = {"r": 2.0} if protocol == "verus" else {}
     specs = [FlowSpec(protocol=protocol, options=options)]
-    result = run_trace_contention(trace, specs, duration=DURATION,
-                                  warmup=WARMUP, seed=seed,
-                                  faults=FAULTS if faulted else None)
-    return result.summary()
+    return run_trace_contention(trace, specs, duration=DURATION,
+                                warmup=WARMUP, seed=seed,
+                                faults=FAULTS if faulted else None)
+
+
+def _run_case(protocol: str, trace_name: str, faulted: bool) -> dict:
+    return _run_result(protocol, trace_name, faulted).summary()
 
 
 def _canonical(payload: dict) -> bytes:
@@ -161,6 +168,43 @@ def test_multiflow_gap_path_matches_committed_snapshot():
     assert sum(row["losses_detected"] for row in recovery) > 0
     assert sum(row["retransmissions"] for row in recovery) > 0
     _assert_matches_snapshot(GAP_CASE, _canonical(payload))
+
+
+TEARDOWN_CASES = [("verus", "city_driving", False),
+                  ("sprout", "city_stationary", False),
+                  ("cubic", "campus_pedestrian", True)]
+
+
+@pytest.mark.parametrize(
+    "protocol,trace,faulted", TEARDOWN_CASES,
+    ids=[_case_id(*case) for case in TEARDOWN_CASES])
+def test_run_frees_its_trace_link_on_return(monkeypatch, protocol, trace,
+                                            faulted):
+    """A finished run's network dies with the run.  With the cyclic
+    collector off, reference counting alone has freed the run's
+    TraceLink and the trace array it replays by the time
+    ``run_trace_contention`` returns, while the result it returned still
+    gives the committed summary."""
+    refs = []
+
+    class RecordingTraceLink(TraceLink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+            refs.append(weakref.ref(self.times))
+
+    monkeypatch.setattr(runner, "TraceLink", RecordingTraceLink)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = _run_result(protocol, trace, faulted)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False]
+    _assert_matches_snapshot(_case_id(protocol, trace, faulted),
+                             _canonical(result.summary()))
 
 
 def test_matrix_is_deterministic_within_process():
