@@ -185,10 +185,10 @@ class DelayProfiler:
         """
         if self._curve is None:
             raise RuntimeError("delay profile not interpolated yet")
-        result = max(0.0, self._curve.largest_below(target_delay))
-        lo, hi = self._curve.f.domain
-        saturated = (result >= hi
-                     and target_delay > self._curve.y_max)
+        curve = self._curve
+        result = max(0.0, curve.largest_below(target_delay))
+        hi = curve.x_max
+        saturated = result >= hi and target_delay > curve.y_max
         if saturated and allow_probe:
             self._probe_steps = min(self._probe_steps + 1, 1000)
             result = max(result, hi + min(2.0 ** self._probe_steps, 8.0))

@@ -57,7 +57,8 @@ class InverseLookup:
         self._gx = self.grid_x.tolist()
         self._gy = self.grid_y.tolist()
         self._lo = float(lo)
-        self._hi = float(hi)
+        #: Upper end of the knot domain, ``f.domain[1]`` as a float.
+        self.x_max = float(hi)
         #: Largest delay on the evaluation grid (profile ceiling).
         self.y_max = float(np.max(self.grid_y))
 
@@ -85,10 +86,10 @@ class InverseLookup:
         # Target is above the entire profile: extrapolate along the end slope.
         slope = self._end_slope()
         if slope <= 0:
-            return self._hi
+            return self.x_max
         overshoot = (target - self._gy[-1]) / slope
-        limit = self.max_extrapolation * (self._hi - self._lo)
-        return self._hi + (overshoot if overshoot < limit else limit)
+        limit = self.max_extrapolation * (self.x_max - self._lo)
+        return self.x_max + (overshoot if overshoot < limit else limit)
 
     def _end_slope(self) -> float:
         y_hi = self.grid_y[-1]
