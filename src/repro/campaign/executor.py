@@ -270,11 +270,16 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
         if supervisor is not None:
             supervisor.release(index)
 
+    def settle_freed() -> None:
+        nonlocal abandoned
+        while freed:
+            if freed.popleft() == generation:
+                abandoned = max(0, abandoned - 1)
+
+    finished = False
     try:
         while pending or inflight:
-            while freed:
-                if freed.popleft() == generation:
-                    abandoned = max(0, abandoned - 1)
+            settle_freed()
             # In-flight is capped at the worker count (minus any workers
             # still burning on abandoned tasks), so a submitted task
             # starts at once and its deadline runs from submission.
@@ -402,8 +407,14 @@ def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
                             error=f"timed out after {timeout:g}s",
                             attempts=info.attempts + 1,
                             seconds=now - info.submitted))
+        finished = True
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        settle_freed()
+        # Wait for the workers to exit, so none outlives the run and the
+        # pool's wakeup pipe is closed only once its manager thread is
+        # done with it.  Waiting is unsafe only after an error or while a
+        # timed-out task still occupies a worker: it would block on it.
+        pool.shutdown(wait=finished and not abandoned, cancel_futures=True)
 
 
 def _requeue_or_fail(index: int, attempts: int, pending, keys, retries,

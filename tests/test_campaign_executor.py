@@ -7,6 +7,7 @@ sentinel files because pool workers share no Python state with the
 test process.
 """
 
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -106,6 +107,16 @@ class TestPooledExecution:
         run = run_tasks([{"value": i} for i in range(6)], echo_task, jobs=3)
         assert [o.result for o in run.outcomes] == list(range(6))
         assert run.stats.executed == 6
+
+    def test_clean_run_reaps_its_workers(self):
+        """A run with no timed-out task waits for its workers to exit,
+        so none outlives it (a no-wait shutdown races the pool's exit
+        hook against its closed wakeup pipe)."""
+        # Workers an earlier test abandoned may still be finishing.
+        before = set(multiprocessing.active_children())
+        run = run_tasks([{"value": i} for i in range(4)], echo_task, jobs=2)
+        assert run.all_ok
+        assert set(multiprocessing.active_children()) <= before
 
     def test_task_timeout(self):
         run = run_tasks([{"sleep": 5.0}, {"sleep": 0.01}], sleep_task,
