@@ -44,6 +44,10 @@ from ..faults.spec import BACKENDS, FAULT_PRESETS
 #: Verus throughout.
 DEFAULT_PROTOCOL_OPTIONS: Dict[str, dict] = {"verus": {"r": 2.0}}
 
+#: Round-trip propagation delay of a simulated cell.  A live cell runs
+#: over the live path's fixed delays instead, so it keeps this default.
+DEFAULT_RTT = 0.01
+
 
 def _canonical_json(payload: dict) -> str:
     """Deterministic JSON used for hashing: sorted keys, no whitespace
@@ -98,7 +102,7 @@ class TaskSpec:
     seed_index: int = 0
     technology: str = "3g"
     cell_rate_bps: Optional[float] = None
-    rtt: float = 0.01
+    rtt: float = DEFAULT_RTT
     warmup: float = 5.0
     label: str = ""
     options: Tuple[Tuple[str, object], ...] = ()
@@ -117,6 +121,12 @@ class TaskSpec:
                              f"choose from {FAULT_PRESETS}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.backend == "live" and self.rtt != DEFAULT_RTT:
+            raise ValueError(
+                f"a live cell takes no rtt (got {self.rtt:g} s): it runs "
+                f"over the live path's fixed downlink_delay and "
+                f"uplink_delay (see run_live_session), so leave rtt at "
+                f"its default {DEFAULT_RTT:g} s")
         if self.trace_file is None and self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {SCENARIO_NAMES} "
@@ -228,7 +238,7 @@ def expand_grid(channels: Sequence[Union[str, Channel]],
                 default_duration: float = 30.0,
                 warmup: Union[None, float, Callable[[float], float]] = None,
                 technology: str = "3g",
-                cell_rate_bps: Optional[float] = None, rtt: float = 0.01,
+                cell_rate_bps: Optional[float] = None, rtt: float = DEFAULT_RTT,
                 overrides: Sequence[dict] = ({},),
                 override_labels: Optional[Sequence[str]] = None,
                 faults: Sequence[Optional[str]] = (None,),
@@ -304,7 +314,7 @@ class CampaignSpec:
     duration: float = 30.0
     technology: str = "3g"
     cell_rate_bps: Optional[float] = None
-    rtt: float = 0.01
+    rtt: float = DEFAULT_RTT
     #: None (default) resolves to :func:`sweep_warmup`.
     warmup: Optional[float] = None
     base_seed: int = 0

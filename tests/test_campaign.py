@@ -44,6 +44,19 @@ class TestTaskSpec:
             TaskSpec(scenario="the_moon", protocol="verus", flows=1,
                      duration=5.0, seed=1)
 
+    def test_live_cell_rejects_an_rtt(self):
+        """The live path runs over fixed delays and takes no RTT, so a
+        live cell with a non-default ``rtt`` would key a session that
+        ignores it."""
+        with pytest.raises(ValueError, match="downlink_delay"):
+            TaskSpec(scenario="city_driving", protocol="verus", flows=1,
+                     duration=5.0, seed=1, backend="live", rtt=0.05)
+        live = TaskSpec(scenario="city_driving", protocol="verus", flows=1,
+                        duration=5.0, seed=1, backend="live")
+        assert TaskSpec.from_dict(live.to_dict()) == live
+        TaskSpec(scenario="city_driving", protocol="verus", flows=1,
+                 duration=5.0, seed=1, rtt=0.05)
+
     def test_label_defaults_to_protocol(self):
         task = TaskSpec(scenario="city_driving", protocol="cubic", flows=1,
                         duration=5.0, seed=1)
