@@ -14,49 +14,37 @@ Failure semantics
   exception.  Other tasks are unaffected.
 * **Worker death** (segfault, OOM-kill, ``os._exit``) — Python's
   :class:`~concurrent.futures.ProcessPoolExecutor` poisons the whole
-  pool when a worker dies.  The engine catches the broken pool, rebuilds
-  it, and requeues every in-flight task with one attempt consumed, so a
+  pool when a worker dies.  The engine shuts the broken pool down,
+  books every in-flight task that had already returned, requeues the
+  rest with one attempt consumed and rebuilds the pool, so a
   deterministically-crashing cell exhausts its retries and is marked
   failed while its innocent neighbours complete on the fresh pool.
 * **Timeout** — enforced in pooled mode only (a serial in-process run
   cannot preempt itself).  Each future carries exactly one task, and
   in-flight occupancy is capped at ``jobs``, so every submitted task
   starts immediately and its deadline is measured from submission.  A
-  timed-out future is abandoned (its late result, if any, is
-  discarded) and the cell is marked ``timeout``
-  without retry — a deterministic hang would only burn workers again.
-* **Supervised kill** — a ``supervisor`` (e.g. the resilience
-  subsystem's :class:`~repro.resilience.watchdog.WorkerWatchdog`) may
-  SIGKILL a hung or over-budget worker.  That breaks the pool like any
-  worker death, but the supervisor *attributes* the kill: only the
-  offending task consumes an attempt (with capped exponential backoff
-  before requeue, or its kill reason as the final error); innocent
-  in-flight siblings are requeued without burning a retry.
+  task past its deadline is marked ``timeout`` without retry — a
+  deterministic hang would only burn workers again.  A future does not
+  know which worker runs it, so the engine then SIGKILLs every worker
+  of the pool, waits for the pool to shut down, requeues the siblings
+  that were still in flight without consuming an attempt, and rebuilds
+  the pool.  No hung worker outlives :func:`run_tasks`, and the
+  interpreter never waits on one at exit.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .spec import CampaignSpec, TaskSpec, run_simulation_task
 from .store import ResultStore
 
 ProgressFn = Callable[["TaskOutcome", int, int], None]
-
-#: Ceiling on the backoff applied before requeueing a task whose worker
-#: the supervisor shot (hang / RSS breach).
-KILL_BACKOFF_CAP = 2.0
-
 
 @dataclass
 class TaskOutcome:
@@ -142,8 +130,7 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
               store: Optional[ResultStore] = None,
               keys: Optional[Sequence[Optional[str]]] = None,
               resume: bool = True,
-              progress: Optional[ProgressFn] = None,
-              supervisor: Optional[Any] = None) -> RunResult:
+              progress: Optional[ProgressFn] = None) -> RunResult:
     """Run ``task_fn`` over ``payloads`` and return per-task outcomes.
 
     ``task_fn`` must be a module-level callable (picklable) when
@@ -152,17 +139,9 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
     (unless ``resume`` is False), and fresh successes are persisted —
     their results must then be JSON-serializable.
 
-    ``supervisor`` (pooled mode only) is a duck-typed worker watchdog:
-    ``wrap(index, attempts, payload)`` is called at submission and may
-    return an augmented payload, ``poll()`` runs once per engine loop
-    iteration and may kill misbehaving workers, ``take_kills()`` returns
-    ``{index: reason}`` for kills since the last call (consumed when the
-    pool breaks, to attribute the break), and ``release(index)`` is
-    called whenever a task leaves flight.
-
     In pooled mode every future carries exactly one payload, so each
-    task has its own deadline (``timeout`` seconds from submission), its
-    own worker-side timing and its own supervisor registration.
+    task has its own deadline (``timeout`` seconds from submission) and
+    its own worker-side timing.
     """
     n = len(payloads)
     if keys is None:
@@ -227,7 +206,7 @@ def run_tasks(payloads: Sequence[Any], task_fn: Callable[[Any], Any], *,
                     stats, finish)
     else:
         _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
-                  backoff, stats, finish, supervisor)
+                  backoff, stats, finish)
     return RunResult([o for o in outcomes if o is not None], stats)
 
 
@@ -254,167 +233,122 @@ def _run_serial(pending, payloads, keys, task_fn, retries, backoff,
 
 
 def _run_pool(pending, payloads, keys, task_fn, jobs, timeout, retries,
-              backoff, stats, finish, supervisor=None) -> None:
+              backoff, stats, finish) -> None:
     pool = ProcessPoolExecutor(max_workers=jobs)
     inflight: Dict[Any, _InFlight] = {}
-    abandoned = 0   # timed-out futures whose workers are still busy
-    freed: deque = deque()   # signalled (thread-safe) when one finishes late
-    # Pool generation, stamped on every abandoned future's done-callback.
-    # A rebuild discards the abandoned workers along with the old pool, so
-    # a *stale* callback (an old-pool worker finally returning) must not
-    # decrement the new pool's abandoned count — that would over-submit
-    # and mark cells timed out that never got a worker.
-    generation = 0
 
-    def release(index: int) -> None:
-        if supervisor is not None:
-            supervisor.release(index)
-
-    def settle_freed() -> None:
-        nonlocal abandoned
-        while freed:
-            if freed.popleft() == generation:
-                abandoned = max(0, abandoned - 1)
+    def settle(info: _InFlight, status: str, value: Any,
+               seconds: float) -> None:
+        """Book one task its worker returned: done, retried or failed."""
+        index, attempts = info.index, info.attempts
+        if status == "ok":
+            finish(TaskOutcome(index=index, key=keys[index], status="ok",
+                               result=value, attempts=attempts + 1,
+                               seconds=seconds))
+        elif attempts < retries:
+            stats.retries += 1
+            time.sleep(backoff * (attempts + 1))
+            pending.append((index, attempts + 1))
+        else:
+            finish(TaskOutcome(index=index, key=keys[index], status="failed",
+                               error=value, attempts=attempts + 1,
+                               seconds=seconds))
 
     finished = False
     try:
         while pending or inflight:
-            settle_freed()
-            # In-flight is capped at the worker count (minus any workers
-            # still burning on abandoned tasks), so a submitted task
+            # In-flight is capped at the worker count, so a submitted task
             # starts at once and its deadline runs from submission.
-            while pending and len(inflight) + abandoned < jobs:
+            while pending and len(inflight) < jobs:
                 index, attempts = pending.popleft()
-                payload = _handed_off(payloads[index])
-                if supervisor is not None:
-                    payload = supervisor.wrap(index, attempts, payload)
-                future = pool.submit(_run_one, task_fn, payload)
+                future = pool.submit(_run_one, task_fn,
+                                     _handed_off(payloads[index]))
                 inflight[future] = _InFlight(index, attempts,
                                              time.monotonic())
-            if not inflight:
-                # Every worker is burning on an abandoned task; idle
-                # until one frees up rather than busy-spinning.
-                time.sleep(0.02)
-                continue
-            if supervisor is not None:
-                supervisor.poll()
             done, _ = wait(list(inflight), timeout=0.05,
                            return_when=FIRST_COMPLETED)
-            pool_broken = False
-            # Kill attribution is consumed lazily, once per loop pass, and
-            # only on the pool-broken paths — reasons stay queued in the
-            # supervisor until the break they caused is actually observed.
-            kills: Optional[Dict[int, str]] = None
-
-            def attributed_kills() -> Dict[int, str]:
-                nonlocal kills
-                if kills is None:
-                    kills = (supervisor.take_kills()
-                             if supervisor is not None else {})
-                return kills
-
-            def casualty(info: _InFlight) -> None:
-                """One in-flight task lost to a broken pool."""
-                index, attempts = info.index, info.attempts
-                elapsed = time.monotonic() - info.submitted
-                release(index)
-                blame = attributed_kills()
-                if index in blame:
-                    # The supervisor shot this task's worker: it alone
-                    # consumes an attempt, with capped backoff.
-                    if attempts < retries:
-                        stats.retries += 1
-                        time.sleep(min(backoff * (2 ** attempts),
-                                       KILL_BACKOFF_CAP))
-                        pending.append((index, attempts + 1))
-                    else:
-                        finish(TaskOutcome(
-                            index=index, key=keys[index],
-                            status="failed", error=blame[index],
-                            attempts=attempts + 1, seconds=elapsed))
-                elif blame:
-                    # Attributed break, innocent sibling: requeue free.
-                    pending.append((index, attempts))
-                else:
-                    _requeue_or_fail(index, attempts, pending, keys,
-                                     retries, stats, finish, elapsed,
-                                     "worker process died")
-
+            broken = False
             for future in done:
-                info = inflight.pop(future)
-                index, attempts = info.index, info.attempts
-                try:
-                    status, value, seconds = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    casualty(info)
+                returned = _returned(future)
+                if returned is None:
+                    # Lost with its pool: it stays in flight and is
+                    # booked below, once the pool is down.
+                    broken = True
                     continue
-                except CancelledError:
-                    # Only reachable when a breaking pool cancelled queued
-                    # siblings; treat like any other casualty.
-                    release(index)
-                    _requeue_or_fail(index, attempts, pending, keys,
-                                     retries, stats, finish,
-                                     time.monotonic() - info.submitted,
-                                     "cancelled by pool")
-                    continue
-                release(index)
-                if status == "ok":
-                    finish(TaskOutcome(
-                        index=index, key=keys[index], status="ok",
-                        result=value, attempts=attempts + 1,
-                        seconds=seconds))
-                elif attempts < retries:
-                    stats.retries += 1
-                    time.sleep(backoff * (attempts + 1))
-                    pending.append((index, attempts + 1))
-                else:
-                    finish(TaskOutcome(
-                        index=index, key=keys[index], status="failed",
-                        error=value, attempts=attempts + 1,
-                        seconds=seconds))
-            if pool_broken:
-                # Every sibling in flight is poisoned too: requeue them
-                # (the attributed offender — or, unattributed, each one,
-                # since any could be the killer — consumes an attempt)
-                # and rebuild the pool.
-                for info in inflight.values():
-                    casualty(info)
-                inflight.clear()
-                abandoned = 0
-                generation += 1
-                stats.pool_restarts += 1
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=jobs)
-                continue
+                settle(inflight.pop(future), *returned)
+            expired = []
             if timeout is not None:
                 now = time.monotonic()
-                for future, info in list(inflight.items()):
-                    if now - info.submitted > timeout \
-                            and not future.cancel():
-                        # Still running: abandon it. The worker frees up
-                        # whenever the task eventually returns; its late
-                        # result is discarded with the future.
-                        del inflight[future]
-                        abandoned += 1
-                        future.add_done_callback(
-                            lambda f, q=freed, g=generation:
-                                (_noteless(f), q.append(g)))
-                        release(info.index)
-                        finish(TaskOutcome(
-                            index=info.index, key=keys[info.index],
-                            status="timeout",
-                            error=f"timed out after {timeout:g}s",
-                            attempts=info.attempts + 1,
-                            seconds=now - info.submitted))
+                expired = [future for future, info in inflight.items()
+                           if not future.done()
+                           and now - info.submitted > timeout]
+                for future in expired:
+                    info = inflight.pop(future)
+                    finish(TaskOutcome(
+                        index=info.index, key=keys[info.index],
+                        status="timeout",
+                        error=f"timed out after {timeout:g}s",
+                        attempts=info.attempts + 1,
+                        seconds=now - info.submitted))
+            if not (broken or expired):
+                continue
+            # A future does not know its worker, so a hung task is stopped
+            # by killing the whole pool.  Once it is down every sibling
+            # still in flight has either returned (and is booked as such)
+            # or been lost with the pool.  A task lost to a worker death
+            # uses an attempt (any of them could have been the one that
+            # died); one lost only to a timeout kill is requeued free.
+            _kill_workers(pool)
+            for future, info in inflight.items():
+                returned = _returned(future)
+                if returned is not None:
+                    settle(info, *returned)
+                elif broken:
+                    _requeue_or_fail(info.index, info.attempts, pending,
+                                     keys, retries, stats, finish,
+                                     time.monotonic() - info.submitted,
+                                     "worker process died")
+                else:
+                    pending.append((info.index, info.attempts))
+            inflight.clear()
+            stats.pool_restarts += 1
+            pool = ProcessPoolExecutor(max_workers=jobs)
         finished = True
     finally:
-        settle_freed()
         # Wait for the workers to exit, so none outlives the run and the
         # pool's wakeup pipe is closed only once its manager thread is
-        # done with it.  Waiting is unsafe only after an error or while a
-        # timed-out task still occupies a worker: it would block on it.
-        pool.shutdown(wait=finished and not abandoned, cancel_futures=True)
+        # done with it.  After an error a worker may still be busy: kill
+        # it rather than wait on it.
+        if finished:
+            pool.shutdown(wait=True)
+        else:
+            _kill_workers(pool)
+
+
+def _returned(future) -> Optional[tuple]:
+    """``_run_one``'s ``(status, value, seconds)`` for a future whose
+    task came back, or None for one lost with its pool (its worker died,
+    or the breaking pool cancelled it).  An exception the pool raised
+    for the task itself (an unpicklable result, say) is a task error."""
+    if future.cancelled() or not future.done():
+        return None
+    exc = future.exception()
+    if isinstance(exc, BrokenProcessPool):
+        return None
+    if exc is not None:
+        return "err", repr(exc), 0.0
+    return future.result()
+
+
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL every worker of ``pool`` and wait for it to shut down.
+
+    The pool's own manager thread notices the deaths, fails the futures
+    still in flight with :class:`BrokenProcessPool` and reaps the
+    workers; waiting for it leaves no worker process behind."""
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _requeue_or_fail(index: int, attempts: int, pending, keys, retries,
@@ -426,14 +360,6 @@ def _requeue_or_fail(index: int, attempts: int, pending, keys, retries,
         finish(TaskOutcome(index=index, key=keys[index],
                            status="failed", error=reason,
                            attempts=attempts + 1, seconds=elapsed))
-
-
-def _noteless(future) -> None:
-    """Swallow the late result/exception of an abandoned future."""
-    try:
-        future.exception()
-    except Exception:
-        pass
 
 
 @dataclass

@@ -18,11 +18,15 @@ front ends to it).  Each cell is
 
 A cell without a fault returns the run's ``summary()``; a cell with a
 fault preset also runs that schedule and adds the recovery verdict of
-:func:`repro.faults.chaos.recovery_verdict`.
+:func:`repro.faults.chaos.recovery_verdict`.  A faulted cell on the
+simulator runs with the control-law monitors of
+:mod:`repro.check.monitors` armed and adds their report as
+``invariant``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -231,6 +235,45 @@ def _override_label(protocol: str, index: int, count: int,
     return f"{protocol}_v{index}" if count > 1 else protocol
 
 
+def _check_values(channels, protocols, faults, backends) -> None:
+    """Reject unknown axis values up front: a drawn grid may never build
+    the cell that would."""
+    unknown = ([c for c in channels
+                if isinstance(c, str) and c not in SCENARIO_NAMES]
+               + [p for p in protocols if p not in PROTOCOL_NAMES]
+               + [f for f in faults
+                  if f is not None and f not in FAULT_PRESETS]
+               + [b for b in backends if b not in BACKENDS])
+    if unknown:
+        raise ValueError("unknown grid axis values: "
+                         + ", ".join(map(str, unknown)))
+
+
+def _drawn_cells(draws: int, base_seed: int, channels, protocols,
+                 flow_counts, overrides, faults, backends):
+    """``draws`` cells sampled from the axes, with their seeds.
+
+    Draw ``i`` picks its protocol, fault, channel, flow count, override
+    and backend, in that order, with one generator seeded
+    ``SeedSequence(base_seed, spawn_key=(0, i))``, and takes its seed
+    from ``SeedSequence(base_seed, spawn_key=(1, i))``."""
+    cells, seeds = [], []
+    for i in range(draws):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=base_seed, spawn_key=(0, i)))
+
+        def pick(axis):
+            return axis[int(rng.integers(len(axis)))]
+
+        protocol, fault, channel = pick(protocols), pick(faults), \
+            pick(channels)
+        cells.append((channel, protocol, pick(flow_counts),
+                      pick(range(len(overrides))), fault, pick(backends), i))
+        seeds.append(np.random.SeedSequence(
+            entropy=base_seed, spawn_key=(1, i)).generate_state(1)[0])
+    return cells, seeds
+
+
 def expand_grid(channels: Sequence[Union[str, Channel]],
                 protocols: Sequence[str],
                 flow_counts: Sequence[int] = (3,), seeds: int = 1, *,
@@ -244,7 +287,8 @@ def expand_grid(channels: Sequence[Union[str, Channel]],
                 faults: Sequence[Optional[str]] = (None,),
                 backends: Sequence[str] = ("sim",),
                 deadline: float = 3.0,
-                base_seed: int = 0) -> List[TaskSpec]:
+                base_seed: int = 0,
+                draws: Optional[int] = None) -> List[TaskSpec]:
     """Expand channels × protocols × flow_counts × overrides × faults ×
     backends × seeds into cells, in that nesting order (seeds innermost).
 
@@ -259,31 +303,48 @@ def expand_grid(channels: Sequence[Union[str, Channel]],
     well-separated random stream; the spawn index is the cell's fixed
     position in the grid, so the mapping cell → seed is stable under
     any execution order and under ``--resume``.
+
+    ``draws=N`` samples ``N`` cells from the axes instead of taking
+    their product (the ``repro soak`` grid), and replaces the seeds
+    axis.  Cell ``i`` (its ``seed_index``) is a pure function of
+    ``(base_seed, i)`` — see :func:`_drawn_cells` — so it is the same
+    cell whatever ``N`` is.  A drawn cell runs each protocol at its own
+    defaults: only the override is its options.
     """
     _check_axes(seeds, override_labels, channels=channels,
                 protocols=protocols, flow_counts=flow_counts,
                 overrides=overrides, faults=faults, backends=backends)
     if warmup is None:
         warmup = sweep_warmup
-    cells = list(itertools.product(channels, protocols, flow_counts,
-                                   range(len(overrides)), faults, backends,
-                                   range(seeds)))
-    children = np.random.SeedSequence(base_seed).spawn(len(cells))
+    if draws is None:
+        cells = list(itertools.product(channels, protocols, flow_counts,
+                                       range(len(overrides)), faults,
+                                       backends, range(seeds)))
+        cell_seeds = [child.generate_state(1)[0] for child in
+                      np.random.SeedSequence(base_seed).spawn(len(cells))]
+    else:
+        if draws < 1 or seeds != 1:
+            raise ValueError("draws must be at least 1, with seeds=1")
+        _check_values(channels, protocols, faults, backends)
+        cells, cell_seeds = _drawn_cells(draws, base_seed, channels,
+                                         protocols, flow_counts, overrides,
+                                         faults, backends)
     tasks: List[TaskSpec] = []
-    for child, (channel, protocol, flows, o_idx, fault, backend,
-                seed_index) in zip(children, cells):
+    for seed, (channel, protocol, flows, o_idx, fault, backend,
+               seed_index) in zip(cell_seeds, cells):
         if isinstance(channel, str):
             channel = Channel(channel)
         cell_duration = (duration if duration is not None
                          else channel.duration or default_duration)
-        options = dict(DEFAULT_PROTOCOL_OPTIONS.get(protocol, {}))
+        options = (dict(DEFAULT_PROTOCOL_OPTIONS.get(protocol, {}))
+                   if draws is None else {})
         options.update(overrides[o_idx])
         tasks.append(TaskSpec(
             scenario=channel.scenario,
             protocol=protocol,
             flows=flows,
             duration=cell_duration,
-            seed=int(child.generate_state(1)[0]),
+            seed=int(seed),
             seed_index=seed_index,
             technology=technology,
             cell_rate_bps=cell_rate_bps,
@@ -399,7 +460,10 @@ def run_simulation_task(payload: dict) -> dict:
     The cell runs on its backend.  Without a fault it returns the run's
     ``summary()``; a faulted cell runs its schedule and returns the
     ``summary()`` keys plus the recovery verdict (``recovery``,
-    ``recovered``, ``fault_stats``, ``senders``, ``live_counters``).
+    ``recovered``, ``fault_stats``, ``senders``, ``live_counters``) and,
+    on the simulator, the monitors' report
+    (:class:`~repro.check.report.InvariantReport`) as
+    ``invariant``.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
     pickle it to worker processes.
@@ -443,20 +507,32 @@ def run_simulation_task(payload: dict) -> dict:
     if spec.fault is not None:
         from ..faults.spec import make_schedule
         schedule = make_schedule(spec.fault, spec.duration)
+    monitors = None
     if spec.backend == "live":
         from ..live.session import run_live_session
         result = run_live_session(flow_specs, trace=trace,
                                   duration=spec.duration, warmup=spec.warmup,
                                   seed=spec.seed, fault_schedule=schedule)
     else:
-        result = run_trace_contention(trace, flow_specs,
-                                      duration=spec.duration, rtt=spec.rtt,
-                                      warmup=spec.warmup, seed=spec.seed,
-                                      faults=schedule)
+        armed = contextlib.nullcontext()
+        if schedule is not None:
+            # A faulted simulated cell runs with the control-law monitors
+            # armed, attached through the runner's telemetry seam.
+            from ..check.monitors import MonitorSession
+            from ..obs.timeline import telemetry
+            monitors = MonitorSession()
+            armed = telemetry(monitors)
+        with armed:
+            result = run_trace_contention(trace, flow_specs,
+                                          duration=spec.duration,
+                                          rtt=spec.rtt, warmup=spec.warmup,
+                                          seed=spec.seed, faults=schedule)
     summary = result.summary()
     if schedule is not None:
         from ..faults.chaos import recovery_verdict
         summary.update(recovery_verdict(result, schedule, spec.deadline))
+    if monitors is not None:
+        summary["invariant"] = monitors.report.to_dict()
     sim_seconds = perf() - t1
     if want_timings:
         timings = {

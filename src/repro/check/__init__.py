@@ -19,10 +19,12 @@ from .golden import (
     write_golden,
 )
 from .monitors import (
+    MonitorSession,
     MonotoneClockMonitor,
     QueueAccountingMonitor,
     TcpLawMonitor,
     VerusLawMonitor,
+    arm_monitors,
     audit_conservation,
 )
 from .mutation import MUTANTS, Mutant, MutantResult, run_mutation_smoke
@@ -50,6 +52,7 @@ __all__ = [
     "DifferentialResult",
     "InvariantReport",
     "MUTANTS",
+    "MonitorSession",
     "MonotoneClockMonitor",
     "Mutant",
     "MutantResult",
@@ -57,6 +60,7 @@ __all__ = [
     "TcpLawMonitor",
     "VerusLawMonitor",
     "Violation",
+    "arm_monitors",
     "audit_conservation",
     "build_scenario",
     "compare_golden",

@@ -163,6 +163,42 @@ class TcpLawMonitor:
                                 message=f"negative flight {flight}")
 
 
+def arm_monitors(report: InvariantReport, sim,
+                 senders) -> MonotoneClockMonitor:
+    """Arm one run: a :class:`MonotoneClockMonitor` on ``sim``'s scheduler
+    seam, then each sender's control-law monitor (Verus:
+    :class:`VerusLawMonitor`, TCP: :class:`TcpLawMonitor`; other senders
+    have none).  Returns the clock monitor, so the caller can remove it
+    before a drain phase."""
+    from ..core.sender import VerusSender
+    from ..tcp.base import TcpSender
+
+    clock = MonotoneClockMonitor(report)
+    sim.add_monitor(clock)
+    for sender in senders:
+        if isinstance(sender, VerusSender):
+            sender.observers.append(VerusLawMonitor(report))
+        elif isinstance(sender, TcpSender):
+            sender.observers.append(TcpLawMonitor(report))
+    return clock
+
+
+class MonitorSession:
+    """A stand-in telemetry session that records nothing but arms the
+    monitors: activated with :func:`repro.obs.timeline.telemetry`, it is
+    attached by the experiment runner to every run it builds, and the
+    runs' violations collect in :attr:`report`."""
+
+    def __init__(self) -> None:
+        self.report = InvariantReport()
+
+    def attach(self, sim, senders, specs=None, receivers=()) -> None:
+        arm_monitors(self.report, sim, senders)
+
+    def finalize(self, sim) -> None:
+        pass
+
+
 class QueueAccountingMonitor:
     """Reconciles a queue's counters with its actual contents.
 

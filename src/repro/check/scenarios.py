@@ -30,13 +30,7 @@ from ..netsim.trace_link import TraceLink
 from ..netsim.topology import pooled_ack_sink
 from ..netsim.tracing import PacketTap
 from ..tcp.base import TcpSender
-from .monitors import (
-    MonotoneClockMonitor,
-    QueueAccountingMonitor,
-    TcpLawMonitor,
-    VerusLawMonitor,
-    audit_conservation,
-)
+from .monitors import QueueAccountingMonitor, arm_monitors, audit_conservation
 from .report import InvariantReport
 
 #: Scenarios with a pinned definition and a golden trace.  Most entries
@@ -237,12 +231,7 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
     receiver.attach(sim, ack_out)
 
     report = InvariantReport()
-    clock_monitor = MonotoneClockMonitor(report)
-    sim.add_monitor(clock_monitor)
-    if isinstance(sender, VerusSender):
-        sender.observers.append(VerusLawMonitor(report))
-    elif isinstance(sender, TcpSender):
-        sender.observers.append(TcpLawMonitor(report))
+    clock_monitor = arm_monitors(report, sim, [sender])
     queue_monitor = QueueAccountingMonitor(report, queue, label="bottleneck")
 
     rows: List[List[float]] = []

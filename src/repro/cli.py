@@ -15,6 +15,7 @@ Usage::
     python -m repro sweep --corpus .repro-corpus --protocol verus
     python -m repro chaos --protocol verus --fault blackout \
         --fault chaos --backend both          # fault-injection matrix
+    python -m repro soak --budget-cells 20 --seed 7   # drawn chaos cells
     python -m repro check                     # conformance suite
     python -m repro check --bless             # re-bless golden traces
 
@@ -99,8 +100,8 @@ def _run_live(args) -> None:
 def _run_grid(args, channels, grid: dict, *, noun: str, grid_title: str,
               columns, summarise, rows_title: str, note=None, verdict=None,
               telemetry: bool = False) -> int:
-    """The driver ``repro sweep`` and ``repro chaos`` share; returns the
-    exit code.
+    """The driver ``repro sweep``, ``repro chaos`` and ``repro soak``
+    share; returns the exit code.
 
     The grid is ``channels`` × the protocols × the ``grid`` axes
     (:func:`~repro.campaign.expand_grid` arguments); under ``--corpus``
@@ -216,6 +217,8 @@ def _run_sweep(args) -> int:
 
 def _chaos_note(result: dict) -> str:
     note = " recovered" if result.get("recovered") else " NOT-RECOVERED"
+    if not result.get("invariant", {"ok": True})["ok"]:
+        note += " INVARIANT"
     return note + (" degraded" if result.get("degraded") else "")
 
 
@@ -377,94 +380,54 @@ def _run_corpus(args) -> int:
     return 2
 
 
+def _soak_verdict(result) -> int:
+    """Exit 1 on any cell that failed or timed out, broke a control-law
+    invariant, or ended degraded; list each on stdout."""
+    findings = []
+    for task, outcome in zip(result.tasks, result.outcomes):
+        cell = (f"cell {outcome.index} ({task.protocol}, {task.fault}, "
+                f"{task.scenario})")
+        if not outcome.ok:
+            findings.append(f"{cell}: {outcome.status}: {outcome.error}")
+            continue
+        invariant = outcome.result.get("invariant")
+        if invariant is not None and not invariant["ok"]:
+            from .check.report import InvariantReport
+            report = InvariantReport.from_dict(invariant)
+            findings.append(f"{cell}: invariant: {report.summary()}")
+        if outcome.result.get("degraded"):
+            findings.append(f"{cell}: degraded: "
+                            f"{outcome.result.get('degraded_reason')}")
+    for finding in findings:
+        print(finding)
+    if findings:
+        print(f"soak: FAIL ({len(findings)} findings)", file=sys.stderr)
+        return 1
+    print("soak: OK")
+    return 0
+
+
 def _run_soak(args) -> int:
-    """``repro soak``: budgeted endurance runs over randomized (but
-    seed-reproducible) protocol × fault × channel cells, supervised by
-    worker watchdogs, with crash bundles, quarantine and triage."""
-    from .resilience import SoakReport, SoakSpec, load_ledger
-    from .resilience.soak import replay_cell, run_soak
+    """``repro soak``: ``--budget-cells`` chaos cells drawn from protocol
+    × fault × channel, cell *i* a pure function of (seed, i), run like
+    ``repro chaos`` through the campaign engine and the store; fails on
+    any cell that did not run clean (see :func:`_soak_verdict`)."""
+    from .cellular import SCENARIO_NAMES
+    from .faults import FAULT_PRESETS, chaos_warmup, recovery_rows
 
-    inject = {}
-    for item in args.inject or []:
-        try:
-            mode, _, draw = item.partition("@")
-            inject[int(draw)] = {"mode": mode}
-        except ValueError:
-            print(f"error: --inject wants MODE@DRAW, got {item!r}",
-                  file=sys.stderr)
-            return 2
-    try:
-        spec = SoakSpec(
-            seed=args.seed,
-            budget_cells=args.budget_cells,
-            budget_seconds=args.budget_seconds,
-            protocols=args.protocol or SoakSpec.protocols,
-            faults=args.fault or SoakSpec.faults,
-            scenarios=args.scenario or SoakSpec.scenarios,
-            corpus=args.corpus,
-            duration=args.duration,
-            flows=args.flows,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            stall_after=args.stall_after,
-            rss_limit_mb=args.rss_mb,
-            state_dir=args.state_dir,
-            inject=inject,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.report:
-        records = load_ledger(spec.state_dir)
-        if not records:
-            print(f"no soak ledger under {spec.state_dir}", file=sys.stderr)
-            return 2
-        report = SoakReport(records)
-        print(report.render())
-        return 0 if report.ok else 1
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    if args.replay:
-        try:
-            record = replay_cell(spec, args.replay)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"replay {args.replay}: {record.kind} "
-              f"(status {record.status}, attempts {record.attempts})")
-        if record.error:
-            print(f"  error: {record.error}")
-        if record.bundle:
-            print(f"  bundle: {record.bundle}")
-        return 0 if record.kind in ("ok", "flaky") else 1
-
-    def progress(outcome, done, total) -> None:
-        note = outcome.status
-        if outcome.error:
-            note += f": {outcome.error}"
-        print(f"  [{done}/{total}] cell {outcome.index} {note} "
-              f"({outcome.seconds:.1f}s)", file=sys.stderr)
-
-    result = run_soak(spec, fresh=args.fresh,
-                      progress=progress if args.verbose else None, log=log)
-    report = result.report
-    print(report.render())
-    print(f"draws: {result.draws}  quarantined-skips: {result.skipped}  "
-          f"executed: {result.stats['executed']}  "
-          f"cached: {result.stats['cached']}  "
-          f"retries: {result.stats['retries']}  "
-          f"pool-restarts: {result.stats['pool_restarts']}")
-    print(f"scenario draw {result.digest}")
-    if report.ok:
-        print("soak: OK (nothing worse than flakiness)")
-        return 0
-    print("soak: FAIL — non-flaky failure signatures present",
-          file=sys.stderr)
-    return 1
+    args.protocol = args.protocol or ["verus", "sprout", "cubic", "newreno"]
+    channels = args.scenario
+    if not args.corpus:
+        channels = channels or list(SCENARIO_NAMES)
+    grid = dict(flow_counts=[args.flows],
+                faults=args.fault or list(FAULT_PRESETS),
+                deadline=1.5, warmup=chaos_warmup, draws=args.budget_cells)
+    return _run_grid(
+        args, channels, grid, noun="cell", grid_title="soak draw",
+        columns=("scenario", "protocol", "fault"),
+        summarise=lambda run: recovery_rows(run.tasks, run.outcomes),
+        rows_title="soak (recovered / cells per group)",
+        note=_chaos_note, verdict=_soak_verdict)
 
 
 def main(argv=None) -> int:
@@ -715,15 +678,13 @@ def main(argv=None) -> int:
                     help="output format (default: by extension, mahimahi)")
 
     soak = sub.add_parser(
-        "soak", help="budgeted endurance harness: randomized (seed-"
-                     "reproducible) cells under worker watchdogs, with "
-                     "crash bundles, quarantine and failure triage")
+        "soak", help="draw seed-reproducible protocol × fault × channel "
+                     "cells and run them like the chaos matrix; fails on "
+                     "any failed, law-violating or degraded cell")
     soak.add_argument("--budget-cells", type=int, default=50,
-                      help="stop after drawing this many cells (default 50)")
-    soak.add_argument("--budget-seconds", type=float, default=None,
-                      help="stop after this much wall-clock time")
-    soak.add_argument("--seed", type=int, default=0,
-                      help="base seed; draw i is a pure function of "
+                      help="number of cells to draw (default 50)")
+    soak.add_argument("--seed", dest="base_seed", type=int, default=0,
+                      help="base seed; cell i is a pure function of "
                            "(seed, i) (default 0)")
     soak.add_argument("--protocol", action="append", default=None,
                       help="protocol axis entry; repeat for several "
@@ -732,8 +693,10 @@ def main(argv=None) -> int:
                       help="fault-preset axis entry; repeat for several "
                            "(default: every preset)")
     soak.add_argument("--scenario", action="append", default=None,
-                      help="synth scenario axis entry; repeat for several "
-                           "(default: all seven paper scenarios)")
+                      help="channel axis entry: a synth scenario (or, with "
+                           "--corpus, a trace name); repeat for several "
+                           "(default: all seven paper scenarios / every "
+                           "corpus trace)")
     soak.add_argument("--corpus", default=None, metavar="DIR",
                       help="draw the channel axis from a trace corpus "
                            "instead of synth scenarios")
@@ -741,36 +704,17 @@ def main(argv=None) -> int:
                       help="simulated seconds per cell (default 4)")
     soak.add_argument("--flows", type=int, default=1)
     soak.add_argument("--jobs", type=int, default=2,
-                      help="worker processes (default 2; the watchdog "
-                           "needs a pool to preempt)")
+                      help="worker processes (default 2; a timeout needs "
+                           "a pool to preempt)")
     soak.add_argument("--timeout", type=float, default=60.0,
-                      help="hard per-cell wall deadline (default 60)")
+                      help="per-cell wall deadline in seconds (default 60)")
     soak.add_argument("--retries", type=int, default=1)
-    soak.add_argument("--stall-after", type=float, default=2.0,
-                      help="kill a worker whose heartbeat goes stale for "
-                           "this long (default 2)")
-    soak.add_argument("--rss-mb", type=int, default=1024,
-                      help="kill a worker whose RSS exceeds this budget "
-                           "(default 1024; 0 disables)")
-    soak.add_argument("--state-dir", default=".repro-soak",
-                      help="ledger/quarantine/bundle directory "
-                           "(default .repro-soak)")
-    soak.add_argument("--fresh", action="store_true",
-                      help="clear the ledger and the quarantine poison "
-                           "list before running")
-    soak.add_argument("--inject", action="append", default=None,
-                      metavar="MODE@DRAW",
-                      help="inject a failure (crash|hang|oom) at a draw "
-                           "index, e.g. --inject hang@0 (test hook; "
-                           "repeatable)")
-    soak.add_argument("--report", action="store_true",
-                      help="render the triage report from the ledger and "
-                           "exit (non-zero on any non-flaky signature)")
-    soak.add_argument("--replay", default=None, metavar="KEY",
-                      help="re-run one recorded cell by key prefix under "
-                           "full supervision")
-    soak.add_argument("--verbose", action="store_true",
-                      help="per-cell progress on stderr")
+    soak.add_argument("--state-dir", dest="cache_dir", default=".repro-soak",
+                      help="result store location (default .repro-soak)")
+    soak.add_argument("--fresh", dest="resume", action="store_false",
+                      default=True,
+                      help="re-execute every cell, ignoring stored results")
+    soak.set_defaults(seeds=1, no_cache=False, dry_run=False, out=None)
 
     trace = sub.add_parser("trace", help="generate a channel trace file")
     trace.add_argument("--scenario", default="city_driving")
@@ -820,8 +764,6 @@ def main(argv=None) -> int:
     if args.command == "corpus":
         return _run_corpus(args)
     if args.command == "soak":
-        if args.rss_mb is not None and args.rss_mb <= 0:
-            args.rss_mb = None
         return _run_soak(args)
     if args.command == "report":
         from .experiments.full_report import generate_report

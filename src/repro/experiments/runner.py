@@ -126,9 +126,9 @@ class ExperimentResult:
     #: from a degraded result cover only the time actually run.
     degraded: bool = False
     degraded_reason: Optional[str] = None
-    #: Structured code from the resilience taxonomy ("hang", "degraded",
-    #: ...) alongside the human-readable reason string above, so triage
-    #: does not have to parse prose.
+    #: Structured code ("hang": a live peer went silent, "degraded": the
+    #: downlink never healed) alongside the human-readable reason string
+    #: above, so callers do not have to parse prose.
     degraded_code: Optional[str] = None
     #: Per-direction :class:`~repro.faults.injector.FaultStats` dicts
     #: (``{"down": ..., "up": ...}``) when a fault schedule was applied.
@@ -228,11 +228,11 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
         bell.add_flow(sender, receiver, rtt=spec.rtt, start_at=spec.start_at)
         senders.append(sender)
         receivers.append(receiver)
-    # Telemetry seam: when a session is active (repro run/sweep
-    # --telemetry, the soak harness's flight recorder), attach timeline
-    # recorders to every flow.  The local import keeps repro.obs out of
-    # the hot import path, and the common no-session case costs one None
-    # check per experiment.
+    # Telemetry seam: when a session is active (repro run --telemetry,
+    # or a faulted campaign cell's law monitors), attach it to every
+    # flow.  The local import keeps repro.obs out of the hot import
+    # path, and the common no-session case costs one None check per
+    # experiment.
     from ..obs.timeline import current_session
     session = current_session()
     if session is not None:

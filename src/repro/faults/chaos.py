@@ -70,7 +70,10 @@ def recovery_verdict(result, schedule: FaultSchedule,
 
 
 def recovery_rows(tasks: Sequence, outcomes: Sequence) -> List[dict]:
-    """Aggregate a grid's verdicts per (protocol, fault, backend) group."""
+    """Aggregate a grid's verdicts per (protocol, fault, backend) group.
+
+    ``violated`` counts the cells whose law monitors reported a
+    violation (live cells run unmonitored)."""
     grouped: Dict[Tuple[str, str, str], List[Optional[dict]]] = {}
     for task, outcome in zip(tasks, outcomes):
         key = (task.protocol, task.fault, task.backend)
@@ -90,6 +93,8 @@ def recovery_rows(tasks: Sequence, outcomes: Sequence) -> List[dict]:
             "failed": len(cells) - len(ok),
             "recovered": sum(1 for c in ok if c["recovered"]),
             "degraded": sum(1 for c in ok if c["degraded"]),
+            "violated": sum(1 for c in ok
+                            if not c.get("invariant", {"ok": True})["ok"]),
             "mean_recovery_s": (sum(times) / len(times)
                                 if times else None),
         })

@@ -168,8 +168,8 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
     def on_stall(event) -> None:
         nonlocal degraded_reason, degraded_code
         if event.fatal and not stop.is_set():
-            # Structured code from the resilience taxonomy (a dead peer
-            # is a hang as seen from this side) + the human message.
+            # Structured code (a dead peer is a hang as seen from this
+            # side) + the human message.
             degraded_code = "hang"
             degraded_reason = (
                 f"flow {event.flow_id} heard no ACK for "

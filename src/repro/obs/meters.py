@@ -3,7 +3,7 @@
 The registry is the accumulation side of the observability subsystem:
 :meth:`~repro.obs.timeline.TelemetrySession.finalize` folds end-of-run
 engine statistics into it, and a JSON-safe :meth:`MeterRegistry.snapshot`
-comes out.  Telemetry summaries and crash bundles carry that snapshot.
+comes out.  Telemetry summaries carry that snapshot.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.campaign import (
     ResultStore,
     TaskSpec,
     aggregate_campaign,
+    expand_grid,
     mean_ci,
     rows_as_json,
     run_campaign,
@@ -149,6 +150,59 @@ class TestCampaignSpec:
         assert task.warmup == pytest.approx(0.8)
         long = tiny_spec(duration=60.0).expand()[0]
         assert long.warmup == 5.0
+
+
+def drawn(draws=6, **overrides):
+    grid = dict(protocols=["verus", "cubic", "sprout"],
+                faults=["none", "blackout", "flap"], duration=4.0,
+                deadline=1.5, base_seed=7)
+    grid.update(overrides)
+    return expand_grid(["campus_pedestrian", "city_driving",
+                        "highway_driving"], grid.pop("protocols"), [1],
+                       draws=draws, **grid)
+
+
+class TestDrawnGrid:
+    """``expand_grid(draws=N)``: the soak grid samples its cells."""
+
+    def test_draws_are_pure_functions_of_seed_and_index(self):
+        forward = drawn(6)
+        # Fewer draws, or drawing again, changes no cell.
+        assert [t.to_dict() for t in drawn(4)] == \
+            [t.to_dict() for t in forward[:4]]
+        assert [t.to_dict() for t in drawn(6)] == \
+            [t.to_dict() for t in forward]
+        assert [t.seed_index for t in forward] == list(range(6))
+
+    def test_different_seed_draws_differently(self):
+        assert [t.to_dict() for t in drawn(base_seed=7)] != \
+            [t.to_dict() for t in drawn(base_seed=8)]
+
+    def test_draw_rule(self):
+        """Draw i picks protocol, fault, then channel from one generator
+        on spawn key (0, i) and takes its seed from spawn key (1, i)."""
+        protocols = ["verus", "cubic", "sprout"]
+        faults = ["none", "blackout", "flap"]
+        channels = ["campus_pedestrian", "city_driving", "highway_driving"]
+        for i, task in enumerate(drawn(5)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=7, spawn_key=(0, i)))
+            assert task.protocol == protocols[int(rng.integers(3))]
+            assert task.fault == faults[int(rng.integers(3))]
+            assert task.scenario == channels[int(rng.integers(3))]
+            assert task.seed == int(np.random.SeedSequence(
+                entropy=7, spawn_key=(1, i)).generate_state(1)[0])
+            assert task.options == ()   # protocol defaults only
+
+    def test_validates_every_axis_value(self):
+        with pytest.raises(ValueError, match="smtp"):
+            drawn(1, protocols=["verus", "smtp"])
+        with pytest.raises(ValueError, match="not-a-preset"):
+            drawn(1, faults=["none", "not-a-preset"])
+        with pytest.raises(ValueError):
+            drawn(0)
+        with pytest.raises(ValueError):
+            drawn(2, seeds=2)
 
 
 class TestResultStore:

@@ -47,19 +47,6 @@ def crashy_task(payload):
     return payload["value"]
 
 
-def heartbeat_sleep_task(payload):
-    """Heartbeats while it sleeps and silences the beacon on the way
-    out, like ``run_soak_cell``."""
-    from repro.resilience.watchdog import Heartbeat
-
-    heartbeat = Heartbeat.from_directive(payload["_heartbeat"]).start()
-    try:
-        time.sleep(payload["sleep"])
-    finally:
-        heartbeat.stop()
-    return payload["value"]
-
-
 def counting_task(payload):
     """Appends to a ledger file so executions are observable across
     processes, then returns a JSON-safe result."""
@@ -196,6 +183,25 @@ def stuck_task(payload):
     return payload["value"]
 
 
+def hang_once_task(payload):
+    """Hangs on the first call only (sentinel file), so a requeued run
+    returns at once."""
+    sentinel = Path(payload["sentinel"])
+    if not sentinel.exists():
+        sentinel.touch()
+        time.sleep(30.0)
+    return payload["value"]
+
+
+def _timeout_mix_task(payload):
+    """Module-level dispatcher so the pool can pickle it."""
+    if "sentinel" in payload:
+        return hang_once_task(payload)
+    if "sleep" in payload:
+        return sleep_task(payload)
+    return stuck_task(payload)
+
+
 def crash_once_task(payload):
     """Kills its worker on the first call only (sentinel file), so the
     rebuilt pool survives and in-flight siblings get a clean retry."""
@@ -266,59 +272,9 @@ def _mixed_task(payload):
     return stuck_task(payload)
 
 
-def pid_stuck_task(payload):
-    """Writes its worker pid for the test supervisor, then hangs (or
-    completes quickly when not the designated offender)."""
-    if payload.get("stuck"):
-        with open(payload["pidfile"], "w") as fh:
-            fh.write(str(os.getpid()))
-        time.sleep(30.0)
-        return "woke"
-    time.sleep(0.05)
-    return payload["value"]
-
-
-class _PidKillSupervisor:
-    """Minimal duck-typed supervisor: SIGKILLs whichever worker wrote
-    the pidfile and attributes the kill to ``offender`` — enough to
-    exercise the executor's blame-aware casualty path without the
-    full watchdog."""
-
-    def __init__(self, pidfile, offender):
-        self.pidfile = pidfile
-        self.offender = offender
-        self._kills = {}
-        self._shot = set()
-
-    def wrap(self, index, attempts, payload):
-        return payload
-
-    def poll(self):
-        import signal
-        try:
-            pid = int(open(self.pidfile).read())
-        except (OSError, ValueError):
-            return
-        if pid in self._shot:
-            return
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            return
-        self._shot.add(pid)
-        self._kills[self.offender] = "[hang] shot by test supervisor"
-
-    def take_kills(self):
-        kills, self._kills = self._kills, {}
-        return kills
-
-    def release(self, index):
-        pass
-
-
 class TestSupervisedRecovery:
-    """Pool breaks with several tasks in flight: retries, blame and
-    heartbeats stay per task."""
+    """Pool breaks with several tasks in flight: retries stay per
+    task."""
 
     def test_one_shot_crasher_recovers_on_retry(self, tmp_path):
         innocents = []
@@ -334,52 +290,40 @@ class TestSupervisedRecovery:
         assert [by_index[i].result for i in range(6)] == list(range(6))
         assert by_index[0].attempts == 2
         # The crasher's retry, plus one per sibling still in flight when
-        # the unattributed break hit.
+        # the break hit.
         assert run.stats.retries >= 1
         assert run.stats.pool_restarts >= 1
         stats = run.stats
         assert stats.executed + stats.failed + stats.timeouts \
             + stats.cached == stats.total == 6
 
-    def test_supervisor_kill_blames_only_the_offender(self, tmp_path):
-        # The offender hangs on one worker while an innocent sibling is
-        # in flight on the other; each kill requeues that sibling
-        # without burning its attempt, and the offender alone burns both
-        # of its attempts.
-        pidfile = str(tmp_path / "pid")
-        supervisor = _PidKillSupervisor(pidfile, offender=0)
-        payloads = [{"stuck": True, "pidfile": pidfile, "value": 0}] + \
-                   [{"value": i} for i in range(1, 4)]
-        run = run_tasks(payloads, pid_stuck_task, jobs=2,
-                        retries=1, timeout=30.0, backoff=0.01,
-                        supervisor=supervisor)
-        by_index = {o.index: o for o in run.outcomes}
-        assert by_index[0].status == "failed"
-        assert "shot by test supervisor" in by_index[0].error
-        assert by_index[0].attempts == 2          # offender burned both
-        for i in (1, 2, 3):
-            assert by_index[i].status == "ok"
-            assert by_index[i].result == i
-            assert by_index[i].attempts == 1      # innocents never burned
-        assert run.stats.retries == 1             # only the offender's
-        assert run.stats.pool_restarts >= 2
 
-    def test_watchdog_spares_workers_between_back_to_back_tasks(
-            self, tmp_path):
-        # One slow task among many quick ones, under a real watchdog.
-        # Every task stops its heartbeat when it returns, as soak cells
-        # do; a finished task must leave the watchdog's books at once,
-        # or its silent beacon reads as a hang while the same worker is
-        # still busy and the worker is shot.
-        from repro.resilience.watchdog import WorkerWatchdog
+class TestTimeoutKill:
+    """A task past its deadline takes its worker down with it."""
 
-        dog = WorkerWatchdog(tmp_path / "hb", stall_after=0.3,
-                             poll_interval=0.05)
-        payloads = [{"sleep": 0.8 if i == 1 else 0.01, "value": i}
-                    for i in range(40)]
-        run = run_tasks(payloads, heartbeat_sleep_task, jobs=2,
-                        retries=1, backoff=0.01, supervisor=dog)
-        assert [o.status for o in run.outcomes] == ["ok"] * 40
-        assert [o.result for o in run.outcomes] == list(range(40))
-        assert dog.kills == []
-        assert run.stats.pool_restarts == 0
+    def test_timed_out_worker_does_not_outlive_the_run(self):
+        started = time.monotonic()
+        run = run_tasks([{"stuck": True, "value": 0}, {"value": 1}],
+                        stuck_task, jobs=2, timeout=1.0)
+        assert run.outcomes[0].status == "timeout"
+        assert run.outcomes[1].status == "ok"
+        assert run.outcomes[1].attempts == 1
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 10.0
+
+    def test_sibling_lost_to_the_kill_is_requeued_free(self, tmp_path):
+        # The stuck task and a 0.5 s task start together; the sibling
+        # then takes the freed worker and is still hanging when the
+        # stuck task's deadline kills the pool, half a second before
+        # its own.  Its requeued run returns at once.
+        payloads = [{"stuck": True, "value": 0},
+                    {"sleep": 0.5},
+                    {"sentinel": str(tmp_path / "s"), "value": 2}]
+        run = run_tasks(payloads, _timeout_mix_task, jobs=2, timeout=1.0,
+                        retries=0)
+        assert [o.status for o in run.outcomes] == ["timeout", "ok", "ok"]
+        assert run.outcomes[2].result == 2
+        assert run.outcomes[2].attempts == 1
+        assert run.stats.retries == 0
+        assert run.stats.pool_restarts == 1
+        assert multiprocessing.active_children() == []

@@ -463,7 +463,8 @@ class TestChaosMatrix:
 
     def test_empty_schedule_cell_matches_fault_free_cell(self):
         """The worker's fault branch with the empty ``none`` schedule
-        yields the fault-free cell's summary, plus the verdict."""
+        yields the fault-free cell's summary, plus the verdict and the
+        law monitors' report."""
         clean = run_simulation_task(
             _chaos_cell(fault=None, duration=6.0).to_dict())
         assert set(clean) == {"duration", "warmup", "degraded",
@@ -472,10 +473,13 @@ class TestChaosMatrix:
             _chaos_cell(fault="none", duration=6.0).to_dict())
         assert set(out) - set(clean) == {"recovery", "recovered",
                                          "fault_stats", "senders",
-                                         "live_counters"}
+                                         "live_counters", "invariant"}
         assert json.dumps({k: out[k] for k in clean}, sort_keys=True) == \
             json.dumps(clean, sort_keys=True)
         assert out["recovered"]
+        # The law monitors ran, and found nothing.
+        assert out["invariant"]["ok"]
+        assert out["invariant"]["checks"]["monotone-clock"] > 0
 
     def test_matrix_runs_and_caches(self, tmp_path):
         tasks = expand_grid(["campus_stationary"], ["verus"], [1],
@@ -492,6 +496,62 @@ class TestChaosMatrix:
         again = run_campaign(tasks, cache_dir=str(tmp_path))
         assert again.stats.cached == 2 and again.stats.executed == 0
         assert all(o.result["recovered"] for o in again.outcomes)
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Verus ends degraded under flap on highway_driving: no downlink "
+        "delivery after the last outage ends at t=3 s of a 4 s cell"))
+    def test_verus_delivers_after_flap(self):
+        """One cell of the full soak product (7 scenarios x verus,
+        sprout, cubic, newreno x every fault preset, 4 s, base seed 0):
+        of its 280 cells only Verus x flap degrades, here and on
+        city_waterfront."""
+        from repro.cellular import SCENARIO_NAMES
+
+        tasks = expand_grid(list(SCENARIO_NAMES),
+                            ["verus", "sprout", "cubic", "newreno"], [1],
+                            duration=4.0, faults=list(FAULT_PRESETS),
+                            warmup=chaos_warmup, deadline=1.5, base_seed=0)
+        task = next(t for t in tasks if (t.protocol, t.fault, t.scenario)
+                    == ("verus", "flap", "highway_driving"))
+        out = run_simulation_task(task.to_dict())
+        assert out["invariant"]["ok"]
+        assert not out["degraded"], out["degraded_reason"]
+
+
+@pytest.mark.chaos
+class TestSoak:
+    """``repro soak``: drawn chaos cells through the campaign engine."""
+
+    @staticmethod
+    def _soak(tmp_path, name, *extra):
+        from repro.cli import main
+        return main(["soak", "--jobs", "1", "--seed", "7",
+                     "--state-dir", str(tmp_path / name), *extra])
+
+    def test_clean_soak_passes_and_reruns_identically(self, tmp_path,
+                                                      capsys):
+        outputs = []
+        for name in ("a", "b"):
+            assert self._soak(tmp_path, name, "--budget-cells", "6") == 0
+            out = capsys.readouterr().out
+            assert "soak: OK" in out
+            outputs.append(out.replace(str(tmp_path / name), "STORE"))
+        assert outputs[0] == outputs[1]
+
+    def test_law_mutant_fails_the_soak(self, tmp_path, capsys):
+        """Verus's eq. 4 set-point floor skipped: the armed monitors
+        catch it on a cell that otherwise recovers."""
+        from repro.check.mutation import MUTANTS
+
+        mutant = next(m for m in MUTANTS
+                      if m.name == "verus-dest-floor-skip")
+        args = ("--protocol", "verus", "--budget-cells", "2")
+        with mutant.apply():
+            assert self._soak(tmp_path, "mutant", *args) == 1
+        out = capsys.readouterr().out
+        assert "invariant: " in out and "dest-bounds" in out
+        assert self._soak(tmp_path, "clean", *args) == 0
 
 
 # ----------------------------------------------------------------------

@@ -245,8 +245,8 @@ class TestLiveLoopback:
     def test_watchdog_teardown_reports_structured_hang_code(self):
         """A permanent outage silences every ACK; the ACK-inactivity
         watchdog must declare the peer dead, tear the session down early,
-        and stamp the structured ``degraded_code`` (``"hang"`` in the
-        resilience taxonomy) alongside the human-readable reason."""
+        and stamp the structured ``degraded_code`` (``"hang"``: the peer
+        went silent) alongside the human-readable reason."""
         from repro.experiments.runner import FlowSpec
         from repro.faults.spec import FaultEvent, FaultSchedule
 

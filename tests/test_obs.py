@@ -22,7 +22,7 @@ from repro.obs import (
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_snapshot_layout(self):
-        """Telemetry summaries and crash bundles carry this snapshot."""
+        """Telemetry summaries carry this snapshot."""
         reg = MeterRegistry()
         reg.counter("engine.events").inc(3)
         reg.gauge("engine.sim_seconds").set(2.5)
