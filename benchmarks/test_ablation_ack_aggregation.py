@@ -10,7 +10,7 @@ delay control should degrade monotonically with the batch size.
 from repro.core import VerusConfig, VerusReceiver, VerusSender
 from repro.experiments import format_table
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 
 
 def run_with_aggregation(ack_every, duration=40.0):
@@ -18,7 +18,9 @@ def run_with_aggregation(ack_every, duration=40.0):
     link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
     sender = VerusSender(0, VerusConfig())
     receiver = VerusReceiver(0, ack_every=ack_every)
-    DirectPath(sim, link, sender, receiver, rtt=0.05).run(duration)
+    bell = Dumbbell(sim, link, default_rtt=0.05)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     stats = flow_stats(receiver.deliveries, start=duration / 2, end=duration)
     return {
         "ack_every": ack_every,

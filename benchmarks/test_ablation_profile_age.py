@@ -12,7 +12,7 @@ import numpy as np
 from repro.core import VerusConfig, VerusReceiver, VerusSender
 from repro.experiments import format_table
 from repro.metrics import flow_stats, windowed_throughput
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 
 
 def capacity_step(max_age, duration=60.0, step_at=20.0):
@@ -21,9 +21,10 @@ def capacity_step(max_age, duration=60.0, step_at=20.0):
                 queue=DropTailQueue(capacity_bytes=200_000))
     sender = VerusSender(0, VerusConfig(profile_max_age=max_age))
     receiver = VerusReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=0.03)
+    bell = Dumbbell(sim, link, default_rtt=0.03)
+    bell.add_flow(sender, receiver)
     sim.schedule_at(step_at, lambda: setattr(link, "rate_bps", 20e6))
-    path.run(duration)
+    bell.run(duration)
     t, series = windowed_throughput(receiver.deliveries, 1.0,
                                     start=step_at, end=duration)
     above = np.flatnonzero(series >= 0.8 * 20e6)
@@ -38,7 +39,9 @@ def steady_state(max_age, duration=40.0):
     link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
     sender = VerusSender(0, VerusConfig(profile_max_age=max_age))
     receiver = VerusReceiver(0)
-    DirectPath(sim, link, sender, receiver, rtt=0.05).run(duration)
+    bell = Dumbbell(sim, link, default_rtt=0.05)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return flow_stats(receiver.deliveries, start=duration / 2, end=duration)
 
 

@@ -9,7 +9,7 @@ partial ACKs take one round trip per hole.
 
 from repro.experiments import format_table
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 from repro.tcp import NewRenoSender, TcpReceiver
 
 
@@ -19,7 +19,9 @@ def run_variant(sack: bool, duration=30.0, seed=0):
                 queue=DropTailQueue(capacity_bytes=100_000))
     sender = NewRenoSender(0, sack=sack)
     receiver = TcpReceiver(0)
-    DirectPath(sim, link, sender, receiver, rtt=0.05).run(duration)
+    bell = Dumbbell(sim, link, default_rtt=0.05)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     stats = flow_stats(receiver.deliveries, start=5.0, end=duration)
     return {
         "recovery": "sack" if sack else "newreno_partial_ack",

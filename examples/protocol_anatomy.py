@@ -17,7 +17,7 @@ from collections import Counter
 from repro.cellular import generate_scenario_trace, trace_rate_bps
 from repro.core import VerusConfig, VerusReceiver, VerusSender
 from repro.metrics import flow_stats, windowed_throughput
-from repro.netsim import DirectPath, Simulator, TraceLink
+from repro.netsim import Dumbbell, Simulator, TraceLink
 from repro.viz import sparkline
 
 DURATION = 60.0
@@ -35,8 +35,9 @@ def main() -> None:
     config = VerusConfig(r=2.0, record_diagnostics=True)
     sender = VerusSender(0, config)
     receiver = VerusReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=0.01)
-    path.run(DURATION)
+    bell = Dumbbell(sim, link, default_rtt=0.01)
+    bell.add_flow(sender, receiver)
+    bell.run(DURATION)
 
     # ---- slow start -----------------------------------------------------
     rows = sender.diagnostics

@@ -18,12 +18,12 @@ from repro.cellular import (
     compare_predictors,
     detect_bursts,
     generate_scenario_trace,
-    load_trace,
-    save_trace,
     trace_rate_bps,
 )
 from repro.experiments import FlowSpec, format_table, run_trace_contention
 from repro.metrics import flow_stats, windowed_throughput
+from repro.traces.formats import (as_milliseconds, read_trace_seconds,
+                                  write_mahimahi)
 
 DURATION = 40.0
 
@@ -52,8 +52,8 @@ def main() -> None:
     # 4. Persist and reload in the Mahimahi-compatible format.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "highway_lte.trace"
-        save_trace(path, trace)
-        reloaded = load_trace(path)
+        write_mahimahi(path, as_milliseconds(trace))
+        reloaded = read_trace_seconds(path)
         print(f"\nsaved + reloaded {path.name}: {reloaded.size} opportunities,"
               f" {path.stat().st_size} bytes on disk")
 

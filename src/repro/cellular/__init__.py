@@ -2,11 +2,11 @@
 
 Synthetic burst-scheduled 3G/LTE channel model (substituting for the
 paper's commercial-network measurements), named measurement scenarios,
-Mahimahi-style trace I/O, burst statistics (Figs 1–2) and channel
+the trace contract, burst statistics (Figs 1–2) and channel
 predictors (§3 unpredictability analysis).
 """
 
-from .bursts import BurstStats, burst_table, detect_bursts, log_pdf
+from .bursts import BurstStats, detect_bursts, log_pdf
 from .channel_model import (
     TTI_SECONDS,
     CellularChannelModel,
@@ -31,7 +31,6 @@ from .scenarios import (
     EVALUATION_SCENARIOS,
     SCENARIO_NAMES,
     UPLINK_RATE_BPS,
-    all_scenario_traces,
     generate_scenario_trace,
     mobile_variant,
     operator_presets,
@@ -40,8 +39,6 @@ from .scenarios import (
 from .trace_io import (
     TraceFormatError,
     concatenate_traces,
-    load_trace,
-    save_trace,
     scale_trace,
 )
 from .validation import ChannelValidation, compare_technologies, validate_trace
@@ -66,19 +63,15 @@ __all__ = [
     "TTI_SECONDS",
     "TraceFormatError",
     "UPLINK_RATE_BPS",
-    "all_scenario_traces",
-    "burst_table",
     "compare_predictors",
     "compare_technologies",
     "concatenate_traces",
     "detect_bursts",
     "evaluate_predictor",
     "generate_scenario_trace",
-    "load_trace",
     "log_pdf",
     "mobile_variant",
     "operator_presets",
-    "save_trace",
     "scale_trace",
     "trace_rate_bps",
     "validate_trace",

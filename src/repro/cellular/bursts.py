@@ -9,7 +9,7 @@ threshold (default: one TTI, 1 ms — the scheduler granularity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -92,13 +92,3 @@ def log_pdf(values: np.ndarray, bins: int = 40,
     density, _ = np.histogram(arr, bins=edges, density=True)
     centers = np.sqrt(edges[:-1] * edges[1:])
     return centers, density
-
-
-def burst_table(stats_by_label: dict) -> List[dict]:
-    """Flatten per-configuration burst summaries into printable rows."""
-    rows = []
-    for label, stats in stats_by_label.items():
-        row = {"config": label}
-        row.update(stats.summary())
-        rows.append(row)
-    return rows

@@ -19,7 +19,7 @@ preset whose mobility class sets the fading volatility and outage behaviour:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -154,19 +154,6 @@ def generate_scenario_trace(name: str, duration: float = 300.0,
                              direction=direction)
     model = CellularChannelModel(params, rng=np.random.default_rng(seed))
     return model.generate(duration)
-
-
-def all_scenario_traces(duration: float = 60.0, technology: str = "3g",
-                        seed: int = 0,
-                        names: Optional[List[str]] = None) -> Dict[str, np.ndarray]:
-    """Traces for every (or the given) scenario, keyed by scenario name."""
-    chosen = names if names is not None else SCENARIO_NAMES
-    return {
-        name: generate_scenario_trace(name, duration=duration,
-                                      technology=technology,
-                                      seed=seed + i)
-        for i, name in enumerate(chosen)
-    }
 
 
 def operator_presets() -> Dict[str, ChannelParams]:

@@ -1,26 +1,15 @@
-"""Reading and writing delivery-opportunity traces.
+"""The delivery-opportunity trace contract and trace arithmetic.
 
-Traces use the Mahimahi/Sprout text convention: one integer per line, the
-millisecond timestamp of a delivery opportunity (repeated timestamps mean
-multiple packet slots in the same millisecond).  This keeps generated
-synthetic traces interchangeable with real recorded traces.
-
-:mod:`repro.traces.formats` builds on these primitives with multi-format
-readers/writers (mahimahi / newline-seconds / CSV rate series) and
-lossless conversion; this module stays the minimal dependency-free core
-the simulator and live emulator load traces through.
+A trace is a sorted array of second timestamps, one per delivery
+opportunity (repeats mean several packet slots at the same instant).
+:mod:`repro.traces.formats` reads and writes trace files on top of the
+checks here; :func:`~repro.traces.formats.read_trace_seconds` loads any
+supported file into the array the simulator and live emulator take.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from pathlib import Path
-from typing import Union
-
 import numpy as np
-
-PathLike = Union[str, os.PathLike]
 
 
 class TraceFormatError(ValueError):
@@ -47,38 +36,6 @@ def validate_times(arr: np.ndarray, origin: str) -> None:
                                f"non-negative (first is {arr[0]!r})")
     if np.any(np.diff(arr) < 0):
         raise TraceFormatError(f"{origin}: trace timestamps are not sorted")
-
-
-def save_trace(path: PathLike, times_s: np.ndarray) -> None:
-    """Write a trace (seconds) to a Mahimahi-style millisecond file."""
-    arr = np.asarray(times_s, dtype=float)
-    validate_times(arr, str(path))
-    ms = np.round(arr * 1000.0).astype(np.int64)
-    Path(path).write_text("\n".join(str(int(v)) for v in ms) + "\n")
-
-
-def load_trace(path: PathLike) -> np.ndarray:
-    """Read a Mahimahi-style millisecond trace into seconds."""
-    text = Path(path).read_text()
-    values = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            # Reject float-looking lines too: "nan", "1.5", "inf" are all
-            # format violations for the integer-millisecond convention.
-            raise TraceFormatError(
-                f"{path}: bad trace line {line_no}: {line!r}") from None
-        if not math.isfinite(value):  # pragma: no cover - int() is finite
-            raise TraceFormatError(
-                f"{path}: non-finite timestamp on line {line_no}")
-        values.append(value)
-    arr = np.asarray(values, dtype=float) / 1000.0
-    validate_times(arr, str(path))
-    return arr
 
 
 def concatenate_traces(*traces: np.ndarray, gap_s: float = 0.001) -> np.ndarray:

@@ -777,12 +777,13 @@ def main(argv=None) -> int:
             print(text)
         return 0
     if args.command == "trace":
-        from .cellular import generate_scenario_trace, save_trace
+        from .cellular import generate_scenario_trace
+        from .traces.formats import as_milliseconds, write_mahimahi
         trace_arr = generate_scenario_trace(args.scenario,
                                             duration=args.duration,
                                             technology=args.technology,
                                             seed=args.seed)
-        save_trace(args.out, trace_arr)
+        write_mahimahi(args.out, as_milliseconds(trace_arr))
         print(f"wrote {trace_arr.size} delivery opportunities to {args.out}")
         return 0
     parser.print_help()

@@ -25,6 +25,7 @@ import numpy as np
 from ..core import VerusConfig, VerusReceiver, VerusSender
 from ..metrics import FlowStats, flow_stats
 from ..netsim import (
+    DropTailQueue,
     Dumbbell,
     Link,
     LinkSchedule,
@@ -216,12 +217,8 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
                   flow_seeds: Sequence[np.random.SeedSequence],
                   duration: float, default_rtt: float, warmup: float,
                   downlink=None, uplink=None) -> ExperimentResult:
-    # ACKs on a clean reverse path are dead once the sender's handler
-    # returns, so every fault-free experiment recycles them; an uplink
-    # hop (a fault injector) may hold ACKs across time, so it turns the
-    # freelist off.
     bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt,
-                    ack_pool=uplink is None, downlink=downlink, uplink=uplink)
+                    downlink=downlink, uplink=uplink)
     senders, receivers = [], []
     for flow_id, (spec, flow_seed) in enumerate(zip(specs, flow_seeds)):
         sender, receiver = make_endpoints(spec, flow_id, flow_seed)
@@ -315,13 +312,12 @@ def run_fixed_dumbbell(rate_bps: float, specs: Sequence[FlowSpec],
                        seed: int = 0) -> ExperimentResult:
     """§7 setup: constant-rate Ethernet bottleneck (the tc testbed)."""
     sim = Simulator()
-    root = np.random.SeedSequence(seed)
-    from ..netsim import DropTailQueue
+    seeds = seed_tree(seed, len(specs))
     queue = DropTailQueue(capacity_bytes=queue_bytes)
     bottleneck = Link(sim, rate_bps, queue=queue, loss_rate=loss_rate,
-                      rng=np.random.default_rng(root))
-    return _run_dumbbell(sim, bottleneck, specs, root.spawn(len(specs)),
-                         duration, rtt, warmup)
+                      rng=np.random.default_rng(seeds.link))
+    return _run_dumbbell(sim, bottleneck, specs, seeds.flows, duration,
+                         rtt, warmup)
 
 
 def run_variable_dumbbell(schedule: LinkSchedule, specs: Sequence[FlowSpec],
@@ -331,13 +327,12 @@ def run_variable_dumbbell(schedule: LinkSchedule, specs: Sequence[FlowSpec],
                           seed: int = 0) -> ExperimentResult:
     """§7 "rapidly changing network": schedule-driven bottleneck."""
     sim = Simulator()
-    root = np.random.SeedSequence(seed)
-    from ..netsim import DropTailQueue
+    seeds = seed_tree(seed, len(specs))
     queue = DropTailQueue(capacity_bytes=queue_bytes)
     bottleneck = VariableLink(sim, schedule, queue=queue,
-                              rng=np.random.default_rng(root))
-    return _run_dumbbell(sim, bottleneck, specs, root.spawn(len(specs)),
-                         duration, rtt, warmup)
+                              rng=np.random.default_rng(seeds.link))
+    return _run_dumbbell(sim, bottleneck, specs, seeds.flows, duration,
+                         rtt, warmup)
 
 
 def repeat_flows(protocol: str, count: int, label: Optional[str] = None,

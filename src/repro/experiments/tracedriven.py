@@ -8,7 +8,7 @@ traces come from the synthetic channel model's seven named scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -76,39 +76,6 @@ def fig10_mobility(flows: int = 10, duration: float = 60.0,
             for stat in result.all_stats():
                 points.append(ScatterPoint(
                     scenario=scenario, protocol=label, flow=stat.flow_id,
-                    throughput_mbps=stat.throughput_mbps,
-                    mean_delay_ms=stat.mean_delay_ms))
-    return points
-
-
-def corpus_scatter(corpus, flows: int = 10,
-                   duration: Optional[float] = None,
-                   protocols: Sequence = FIG10_PROTOCOLS,
-                   names: Optional[Sequence[str]] = None,
-                   seed: int = 5) -> List[ScatterPoint]:
-    """Fig 10's scatter over a trace corpus: every corpus trace is
-    replayed as one mobility pattern (its name becomes the scenario).
-
-    ``corpus`` is any :class:`~repro.traces.corpus.Corpus`-shaped object
-    (duck-typed to keep this module import-light); ``duration=None``
-    runs each trace for its own recorded length.
-    """
-    points: List[ScatterPoint] = []
-    for name in (list(names) if names is not None else corpus.names()):
-        trace = corpus.load_seconds(name)
-        run_duration = duration
-        if run_duration is None:
-            entry = corpus.entry(name)
-            run_duration = float(entry.stats.get("duration_s")
-                                 or (trace[-1] if trace.size else 1.0))
-        for protocol, options in protocols:
-            label = _label(protocol, options)
-            specs = repeat_flows(protocol, flows, label=label, **options)
-            result = run_trace_contention(trace, specs,
-                                          duration=run_duration, seed=seed)
-            for stat in result.all_stats():
-                points.append(ScatterPoint(
-                    scenario=name, protocol=label, flow=stat.flow_id,
                     throughput_mbps=stat.throughput_mbps,
                     mean_delay_ms=stat.mean_delay_ms))
     return points

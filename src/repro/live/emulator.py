@@ -9,7 +9,7 @@ opportunities are wasted — so the loopback path exhibits the same
 :class:`~repro.netsim.trace_link.TraceLink`.
 
 Opportunities come from either a replayed trace (an array of timestamps,
-e.g. from :func:`repro.cellular.trace_io.load_trace` or
+e.g. from :func:`repro.traces.formats.read_trace_seconds` or
 :func:`~repro.cellular.scenarios.generate_scenario_trace`, looped when
 the session outlives it) or a live
 :class:`~repro.cellular.channel_model.ChannelStepper`, which draws the

@@ -14,7 +14,7 @@ from .impairments import DuplicatingLink, JitterLink, ReorderingLink
 from .link import DelayLine, Link, LinkPhase, LinkSchedule, VariableLink
 from .packet import ACK_BYTES, MTU_BYTES, Packet, PacketPool
 from .queues import CoDelQueue, DropTailQueue, QueueStats, REDQueue
-from .topology import Dumbbell, DirectPath, FlowHandle, OnOffSource, SinkReceiver
+from .topology import Dumbbell, FlowHandle, OnOffSource, SinkReceiver
 from .trace_link import TraceLink
 from .tracing import PacketTap
 
@@ -25,7 +25,6 @@ __all__ = [
     "DelayLine",
     "Demux",
     "DRRQueue",
-    "DirectPath",
     "DropTailQueue",
     "Dumbbell",
     "DuplicatingLink",

@@ -128,10 +128,3 @@ class DRRQueue:
         self._deficits.clear()
         self._flow_bytes.clear()
         self._bytes = 0
-
-
-def paper_shared_vs_per_flow_note() -> str:
-    """Reference note for the queue-model ablation (see DESIGN.md)."""
-    return ("Paper §6.2 shapes all flows through one shared RED queue; "
-            "§3 notes real base stations keep per-user queues. DRRQueue "
-            "provides the per-flow model for the ablation.")

@@ -59,28 +59,26 @@ class Dumbbell:
         Base round-trip propagation delay for flows that do not override it.
         Half is applied on the forward access path (before the bottleneck)
         and half on the reverse acknowledgement path.
-    ack_pool:
-        When True, each flow gets a per-flow acknowledgement freelist:
-        ACKs are recycled after the sender's ``on_ack`` returns.  Leave
-        off (the default) when anything on the reverse path retains
-        packet references across time — e.g. fault injectors that delay,
-        duplicate or replay ACKs.
     downlink, uplink:
         Optional shared hops, each exposing ``send(packet)`` and a
         writable ``dst`` (e.g. a fault injector).  ``downlink`` sits
         between the bottleneck and the data demux; ``uplink`` carries
         every flow's acknowledgements after its reverse delay, ahead of
         an ACK demux.
+
+    ACKs on a clean reverse path are dead once the sender's handler
+    returns, so without an ``uplink`` each flow recycles them through a
+    per-flow freelist; an uplink hop (a fault injector) may hold ACKs
+    across time, so it turns the freelist off.
     """
 
     def __init__(self, sim: Simulator, bottleneck, default_rtt: float = 0.05,
-                 ack_pool: bool = False, downlink=None, uplink=None):
+                 downlink=None, uplink=None):
         if default_rtt < 0:
             raise ValueError("default_rtt must be non-negative")
         self.sim = sim
         self.bottleneck = bottleneck
         self.default_rtt = default_rtt
-        self.ack_pool = ack_pool
         self.demux = Demux()
         if downlink is None:
             self.bottleneck.dst = self.demux
@@ -105,17 +103,14 @@ class Dumbbell:
             raise ValueError("rtt must be non-negative")
 
         forward_access = DelayLine(self.sim, rtt / 2.0, dst=self.bottleneck.send)
-        if self.ack_pool:
+        if self.uplink is None:
             pool = PacketPool()
             receiver.ack_pool = pool
-            ack_sink = pooled_ack_sink(sender.on_ack, pool)
-        else:
-            ack_sink = sender.on_ack
-        if self.uplink is None:
-            reverse_path = DelayLine(self.sim, rtt / 2.0, dst=ack_sink)
+            reverse_path = DelayLine(self.sim, rtt / 2.0,
+                                     dst=pooled_ack_sink(sender.on_ack, pool))
         else:
             reverse_path = DelayLine(self.sim, rtt / 2.0, dst=self.uplink.send)
-            self.ack_demux.register(sender.flow_id, ack_sink)
+            self.ack_demux.register(sender.flow_id, sender.on_ack)
 
         sender.attach(self.sim, forward_access.send)
         receiver.attach(self.sim, reverse_path.send)
@@ -130,39 +125,6 @@ class Dumbbell:
 
     def run(self, duration: float) -> None:
         """Convenience: run the simulation for ``duration`` seconds."""
-        self.sim.run(until=self.sim.now + duration)
-
-
-class DirectPath:
-    """Single flow over a single bottleneck, no contention.
-
-    A lighter-weight wiring used by unit tests and single-flow experiments
-    (e.g. the delay-profile evolution of Fig 7).
-    """
-
-    def __init__(self, sim: Simulator, bottleneck,
-                 sender: SenderProtocol, receiver: ReceiverProtocol,
-                 rtt: float = 0.05, ack_pool: bool = False):
-        self.sim = sim
-        self.bottleneck = bottleneck
-        self.sender = sender
-        self.receiver = receiver
-
-        forward_access = DelayLine(sim, rtt / 2.0, dst=bottleneck.send)
-        if ack_pool:
-            pool = PacketPool()
-            receiver.ack_pool = pool
-            ack_sink = pooled_ack_sink(sender.on_ack, pool)
-        else:
-            ack_sink = sender.on_ack
-        reverse_path = DelayLine(sim, rtt / 2.0, dst=ack_sink)
-        bottleneck.dst = receiver.on_data
-
-        sender.attach(sim, forward_access.send)
-        receiver.attach(sim, reverse_path.send)
-
-    def run(self, duration: float, start_at: float = 0.0) -> None:
-        self.sim.call_at(max(start_at, self.sim.now), self.sender.start)
         self.sim.run(until=self.sim.now + duration)
 
 

@@ -14,7 +14,6 @@ Importing :mod:`repro.obs` is cheap and pulls in no simulation modules.
 """
 
 from .export import (
-    export_meters_json,
     export_timeline_csv,
     export_timeline_jsonl,
     write_session,
@@ -37,7 +36,6 @@ __all__ = [
     "TelemetrySession",
     "TimelineRecorder",
     "current_session",
-    "export_meters_json",
     "export_timeline_csv",
     "export_timeline_jsonl",
     "telemetry",

@@ -45,12 +45,6 @@ def export_timeline_csv(rows: Sequence[dict], path) -> int:
     return len(rows)
 
 
-def export_meters_json(registry, path) -> None:
-    """Pretty-printed meter snapshot (one file, human-diffable)."""
-    Path(path).write_text(json.dumps(registry.snapshot(), indent=2,
-                                     sort_keys=True) + "\n")
-
-
 def write_session(session: TelemetrySession, directory,
                   prefix: str = "telemetry",
                   csv_too: bool = False) -> List[str]:

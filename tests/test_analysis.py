@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import VerusFluidModel
 from repro.core import VerusConfig, VerusReceiver, VerusSender
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 
 
 def simulate(rate_bps, rtt, r, duration=40.0):
@@ -18,7 +18,9 @@ def simulate(rate_bps, rtt, r, duration=40.0):
     link = Link(sim, rate_bps=rate_bps, queue=DropTailQueue())
     sender = VerusSender(0, VerusConfig(r=r, dmin_window=None))
     receiver = VerusReceiver(0)
-    DirectPath(sim, link, sender, receiver, rtt=rtt).run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return sender, flow_stats(receiver.deliveries, start=duration / 2,
                               end=duration)
 

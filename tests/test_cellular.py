@@ -14,15 +14,18 @@ from repro.cellular import (
     SCENARIO_NAMES,
     detect_bursts,
     generate_scenario_trace,
-    load_trace,
     log_pdf,
     mobile_variant,
     operator_presets,
-    save_trace,
     scale_trace,
     scenario_params,
     trace_rate_bps,
     concatenate_traces,
+)
+from repro.traces.formats import (
+    as_milliseconds,
+    read_trace_seconds,
+    write_mahimahi,
 )
 
 
@@ -244,31 +247,31 @@ class TestTraceIO:
     def test_roundtrip(self, tmp_path):
         trace = np.array([0.001, 0.005, 0.005, 0.020])
         path = tmp_path / "trace.txt"
-        save_trace(path, trace)
-        loaded = load_trace(path)
+        write_mahimahi(path, as_milliseconds(trace))
+        loaded = read_trace_seconds(path)
         assert np.allclose(loaded, trace)
 
     def test_millisecond_quantisation(self, tmp_path):
         path = tmp_path / "trace.txt"
-        save_trace(path, np.array([0.0014]))
-        assert load_trace(path)[0] == pytest.approx(0.001)
+        write_mahimahi(path, as_milliseconds(np.array([0.0014])))
+        assert read_trace_seconds(path)[0] == pytest.approx(0.001)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("# header\n10\n\n20\n")
-        assert np.allclose(load_trace(path), [0.010, 0.020])
+        assert np.allclose(read_trace_seconds(path), [0.010, 0.020])
 
     def test_bad_line_raises_with_location(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("10\nnope\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_trace(path)
+            read_trace_seconds(path)
 
     def test_unsorted_file_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("20\n10\n")
         with pytest.raises(ValueError, match="sorted"):
-            load_trace(path)
+            read_trace_seconds(path)
 
     def test_concatenate_shifts_to_sequence(self):
         a = np.array([0.0, 1.0])

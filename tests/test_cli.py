@@ -42,8 +42,8 @@ class TestCommands:
         code = main(["trace", "--scenario", "city_driving",
                      "--duration", "5", "--out", str(out_file)])
         assert code == 0
-        from repro.cellular import load_trace
-        trace = load_trace(out_file)
+        from repro.traces import read_trace_seconds
+        trace = read_trace_seconds(out_file)
         assert trace.size > 100
         assert np.all(np.diff(trace) >= 0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import FlowSpec, make_endpoints
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 from repro.pcc import PccReceiver, PccSender, allegro_utility
 from repro.tcp import (
     BinomialSender,
@@ -22,8 +22,9 @@ def run_flow(sender, receiver, rate_bps=10e6, rtt=0.05, duration=40.0,
     link = Link(sim, rate_bps=rate_bps,
                 queue=DropTailQueue(capacity_bytes=queue_bytes),
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
-    path.run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return flow_stats(receiver.deliveries, start=duration / 2, end=duration)
 
 
@@ -180,9 +181,10 @@ class TestPccSender:
                     queue=DropTailQueue(capacity_bytes=200_000))
         sender = PccSender(0, rng=np.random.default_rng(0))
         receiver = PccReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
         sim.schedule_at(30.0, lambda: setattr(link, "rate_bps", 2e6))
-        path.run(90.0)
+        bell.run(90.0)
         tail = flow_stats(receiver.deliveries, start=70.0, end=90.0)
         assert tail.throughput_bps < 2.5e6
         assert tail.throughput_bps > 1e6

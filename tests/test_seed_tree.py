@@ -160,6 +160,31 @@ def test_variable_dumbbell(recorder, schedule):
     _assert_pcc_streams_differ(result)
 
 
+RUNNERS = {
+    "trace": lambda trace, schedule: run_trace_contention(
+        trace, SPECS, duration=2.0, warmup=0.0, loss_rate=0.01, seed=SEED),
+    "fixed": lambda trace, schedule: run_fixed_dumbbell(
+        8e6, SPECS, duration=2.0, warmup=0.0, loss_rate=0.01, seed=SEED),
+    "variable": lambda trace, schedule: run_variable_dumbbell(
+        schedule, SPECS, duration=2.0, warmup=0.0, seed=SEED),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runners_seed_through_seed_tree(recorder, trace, schedule, runner):
+    """Every dumbbell runner hands its bottleneck and its flows the
+    streams :func:`seed_tree` lays out for them."""
+    result = RUNNERS[runner](trace, schedule)
+    seeds = seed_tree(SEED, len(SPECS))
+    links = [c for c in recorder.components.values()
+             if isinstance(c, (Link, TraceLink))]
+    assert [link.rng.bit_generator.seed_seq.spawn_key for link in links] \
+        == [seeds.link.spawn_key]
+    pcc = [(s.flow_id, s.rng.bit_generator.seed_seq.spawn_key)
+           for s in result.senders if isinstance(s, PccSender)]
+    assert pcc == [(i, seeds.flows[i].spawn_key) for i in (1, 2)]
+
+
 @pytest.mark.parametrize("protocol", ["verus", "cubic"])
 def test_measure_fct(recorder, trace, protocol):
     assert measure_fct(protocol, 50_000, trace, timeout=3.0,

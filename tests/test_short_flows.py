@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import VerusConfig, VerusReceiver, VerusSender
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 from repro.tcp import CubicSender, NewRenoSender, TcpReceiver
 
 
@@ -15,8 +15,9 @@ def run_finite(sender_factory, receiver_factory, rate_bps=10e6, rtt=0.05,
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
     sender = sender_factory()
     receiver = receiver_factory()
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
-    path.run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return sender, receiver
 
 

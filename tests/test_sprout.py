@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator, TraceLink
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator, TraceLink
 from repro.sprout import (
     RateBelief,
     SproutForecaster,
@@ -175,8 +175,9 @@ def run_sprout(rate_bps=10e6, rtt=0.05, duration=30.0):
     sim = Simulator()
     link = Link(sim, rate_bps=rate_bps, queue=DropTailQueue())
     sender, receiver = SproutSender(0), SproutReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
-    path.run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return sender, receiver
 
 
@@ -199,7 +200,9 @@ class TestEndToEnd:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         verus_snd = VerusSender(0, VerusConfig())
         verus_rcv = VerusReceiver(0)
-        DirectPath(sim, link, verus_snd, verus_rcv, rtt=0.05).run(30.0)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(verus_snd, verus_rcv)
+        bell.run(30.0)
         sprout = flow_stats(sprout_rcv.deliveries, start=10.0, end=30.0)
         verus = flow_stats(verus_rcv.deliveries, start=10.0, end=30.0)
         assert sprout.mean_delay < verus.mean_delay
@@ -210,8 +213,9 @@ class TestEndToEnd:
         link = Link(sim, rate_bps=100e6, queue=DropTailQueue())
         sender = SproutSender(0)
         receiver = SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
-        path.run(30.0)
+        bell = Dumbbell(sim, link, default_rtt=0.02)
+        bell.add_flow(sender, receiver)
+        bell.run(30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps < 25e6
 
@@ -219,9 +223,10 @@ class TestEndToEnd:
         sim = Simulator()
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender, receiver = SproutSender(0), SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
         sim.schedule_at(15.0, lambda: setattr(link, "rate_bps", 1e6))
-        path.run(30.0)
+        bell.run(30.0)
         tail = flow_stats(receiver.deliveries, start=20.0, end=30.0)
         assert tail.throughput_bps < 1.5e6
         assert tail.mean_delay < 0.5
@@ -233,8 +238,9 @@ class TestEndToEnd:
         sim = Simulator()
         link = TraceLink(sim, trace, delay=0.01)
         sender, receiver = SproutSender(0), SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
-        path.run(30.0)
+        bell = Dumbbell(sim, link, default_rtt=0.02)
+        bell.add_flow(sender, receiver)
+        bell.run(30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps > 0.3 * link.average_rate_bps()
         assert stats.mean_delay < 0.3

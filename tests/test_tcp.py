@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Packet, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Packet, Simulator
 from repro.tcp import (
     DUPACK_THRESHOLD,
     CubicSender,
@@ -23,8 +23,9 @@ def run_tcp(cls, rate_bps=10e6, rtt=0.05, duration=20.0,
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
     sender = cls(0, **kwargs)
     receiver = TcpReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
-    path.run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return sender, receiver
 
 
@@ -98,8 +99,9 @@ class TestCommonBehaviour:
         link = Link(sim, rate_bps=100e6, queue=DropTailQueue())
         sender = cls(0)
         receiver = TcpReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.1)
-        path.run(0.35)   # ~3 RTTs
+        bell = Dumbbell(sim, link, default_rtt=0.1)
+        bell.add_flow(sender, receiver)
+        bell.run(0.35)   # ~3 RTTs
         assert sender.cwnd >= floor
 
 
@@ -227,10 +229,11 @@ class TestSackRecovery:
                     rng=np.random.default_rng(0))
         sender = CubicSender(0)
         receiver = TcpReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
         sim.schedule_at(5.0, lambda: setattr(link, "loss_rate", 1.0 - 1e-12))
         sim.schedule_at(8.0, lambda: setattr(link, "loss_rate", 0.0))
-        path.run(20.0)
+        bell.run(20.0)
         stats = flow_stats(receiver.deliveries, start=12.0, end=20.0)
         assert sender.timeouts > 0
         assert stats.throughput_bps > 2e6

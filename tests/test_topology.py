@@ -3,12 +3,14 @@
 import pytest
 
 from repro.netsim import (
+    DelayLine,
     Demux,
     DropTailQueue,
     Dumbbell,
     Link,
     OnOffSource,
     Packet,
+    PacketPool,
     SinkReceiver,
     Simulator,
 )
@@ -118,6 +120,23 @@ class TestDumbbell:
         bell = Dumbbell(sim, Link(sim, rate_bps=1e6))
         with pytest.raises(ValueError):
             bell.add_flow(EchoSender(0), ReceiverProtocol(0), rtt=-0.1)
+
+    @pytest.mark.parametrize("with_uplink", [False, True])
+    def test_acks_pooled_exactly_without_uplink(self, with_uplink):
+        """An uplink hop may hold ACKs across time, so only a dumbbell
+        without one recycles them through a per-flow freelist."""
+        sim = Simulator()
+        link = Link(sim, rate_bps=8e6, queue=DropTailQueue())
+        uplink = DelayLine(sim, 0.0) if with_uplink else None
+        bell = Dumbbell(sim, link, default_rtt=0.02, uplink=uplink)
+        receiver = ReceiverProtocol(0)
+        bell.add_flow(EchoSender(0), receiver)
+        bell.run(1.0)
+        assert receiver.packets_received > 10
+        if with_uplink:
+            assert receiver.ack_pool is None
+        else:
+            assert isinstance(receiver.ack_pool, PacketPool)
 
 
 class TestOnOffSource:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cellular import TraceFormatError, load_trace, save_trace
+from repro.cellular import TraceFormatError
 from repro.traces import (
     FORMATS,
     as_milliseconds,
@@ -18,8 +18,10 @@ from repro.traces import (
     convert,
     detect_format,
     read_trace_ms,
+    read_trace_seconds,
     write_trace_ms,
 )
+from repro.traces.formats import write_mahimahi
 
 EXT = {"mahimahi": ".pps", "seconds": ".sec", "csv": ".csv"}
 
@@ -64,14 +66,15 @@ class TestRoundTrips:
             as_milliseconds(as_seconds(times_ms)), times_ms)
 
     def test_native_trace_io_interoperates(self, tmp_path):
-        """cellular.save_trace output is a valid mahimahi corpus file."""
+        """A seconds trace written the way ``repro trace`` writes it is a
+        valid mahimahi corpus file and reads back as the same seconds."""
         path = tmp_path / "native.pps"
         times_s = np.array([0.001, 0.002, 0.002, 0.050])
-        save_trace(path, times_s)
+        write_mahimahi(path, as_milliseconds(times_s))
         assert detect_format(path) == "mahimahi"
         np.testing.assert_array_equal(read_trace_ms(path),
                                       [1, 2, 2, 50])
-        np.testing.assert_allclose(load_trace(path), times_s)
+        np.testing.assert_allclose(read_trace_seconds(path), times_s)
 
 
 class TestDetection:
@@ -104,7 +107,9 @@ class TestDetection:
 
 
 class TestHardening:
-    """TraceFormatError for every malformed input (satellite 1)."""
+    """TraceFormatError for every malformed input.  Files load through
+    ``read_trace_seconds``; arrays save through ``as_milliseconds`` and
+    ``write_mahimahi``, as ``repro trace`` does."""
 
     def test_load_trace_rejects_unsorted_file(self, tmp_path):
         """Regression: an unsorted file must raise, not silently produce
@@ -112,35 +117,35 @@ class TestHardening:
         path = tmp_path / "unsorted.pps"
         path.write_text("20\n10\n30\n")
         with pytest.raises(TraceFormatError, match="not sorted"):
-            load_trace(path)
+            read_trace_seconds(path)
 
     @pytest.mark.parametrize("body,match", [
-        ("nan\n", "bad trace line 1"),
-        ("1.5\n", "bad trace line 1"),
-        ("10\nbogus\n", "bad trace line 2"),
+        ("nan\n", "bad mahimahi line 1"),
+        ("1.5\n", "bad mahimahi line 1"),
+        ("10\nbogus\n", "bad mahimahi line 2"),
         ("-5\n", "non-negative"),
     ])
     def test_load_trace_rejects_malformed(self, tmp_path, body, match):
         path = tmp_path / "bad.pps"
         path.write_text(body)
         with pytest.raises(TraceFormatError, match=match):
-            load_trace(path)
+            read_trace_seconds(path)
 
     def test_load_trace_error_is_valueerror(self, tmp_path):
         """Existing ``except ValueError`` call sites keep working."""
         path = tmp_path / "bad.pps"
         path.write_text("x\n")
         with pytest.raises(ValueError):
-            load_trace(path)
+            read_trace_seconds(path)
 
     def test_save_trace_rejects_bad_arrays(self, tmp_path):
         path = tmp_path / "out.pps"
         with pytest.raises(TraceFormatError, match="NaN"):
-            save_trace(path, np.array([0.1, np.nan]))
+            write_mahimahi(path, as_milliseconds(np.array([0.1, np.nan])))
         with pytest.raises(TraceFormatError, match="not sorted"):
-            save_trace(path, np.array([0.2, 0.1]))
+            write_mahimahi(path, as_milliseconds(np.array([0.2, 0.1])))
         with pytest.raises(TraceFormatError, match="non-negative"):
-            save_trace(path, np.array([-0.1, 0.2]))
+            write_mahimahi(path, as_milliseconds(np.array([-0.1, 0.2])))
 
     def test_format_readers_reject_malformed(self, tmp_path):
         sec = tmp_path / "bad.sec"

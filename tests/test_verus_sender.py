@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import NORMAL, RECOVERY, SLOW_START, VerusConfig, VerusReceiver, VerusSender
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator, TraceLink
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator, TraceLink
 
 
 def run_verus(rate_bps=10e6, rtt=0.05, duration=20.0, queue_bytes=None,
@@ -16,8 +16,9 @@ def run_verus(rate_bps=10e6, rtt=0.05, duration=20.0, queue_bytes=None,
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
     sender = VerusSender(0, config if config is not None else VerusConfig())
     receiver = VerusReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
-    path.run(duration)
+    bell = Dumbbell(sim, link, default_rtt=rtt)
+    bell.add_flow(sender, receiver)
+    bell.run(duration)
     return sender, receiver
 
 
@@ -118,10 +119,11 @@ class TestLossHandling:
                     rng=np.random.default_rng(0))
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
         sim.schedule_at(8.0, lambda: setattr(link, "loss_rate", 1.0 - 1e-12))
         sim.schedule_at(11.0, lambda: setattr(link, "loss_rate", 0.0))
-        path.run(25.0)
+        bell.run(25.0)
         tail = flow_stats(receiver.deliveries, start=15.0, end=25.0)
         assert tail.throughput_bps > 0.5 * 10e6
         assert sender.timeouts > 0
@@ -136,8 +138,9 @@ class TestTraceDriven:
         link = TraceLink(sim, trace, delay=0.01)
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
-        path.run(30.0)
+        bell = Dumbbell(sim, link, default_rtt=0.02)
+        bell.add_flow(sender, receiver)
+        bell.run(30.0)
         stats = flow_stats(receiver.deliveries, start=5.0, end=30.0)
         offered = link.average_rate_bps()
         assert stats.throughput_bps > 0.5 * offered
@@ -150,9 +153,10 @@ class TestLifecycle:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender = VerusSender(0)
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
         sim.schedule_at(5.0, sender.stop)
-        path.run(10.0)
+        bell.run(10.0)
         sent_at_stop = sender.packets_sent
         sim.run(until=12.0)
         assert sender.packets_sent == sent_at_stop
@@ -204,7 +208,9 @@ class TestAckAggregation:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0, ack_every=2)
-        DirectPath(sim, link, sender, receiver, rtt=0.05).run(30.0)
+        bell = Dumbbell(sim, link, default_rtt=0.05)
+        bell.add_flow(sender, receiver)
+        bell.run(30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps > 0.85 * 10e6
         assert sender.losses_detected == 0
@@ -218,7 +224,9 @@ class TestAckAggregation:
             link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
             sender = VerusSender(0, VerusConfig())
             receiver = VerusReceiver(0, ack_every=every)
-            DirectPath(sim, link, sender, receiver, rtt=0.05).run(30.0)
+            bell = Dumbbell(sim, link, default_rtt=0.05)
+            bell.add_flow(sender, receiver)
+            bell.run(30.0)
             return flow_stats(receiver.deliveries, start=10.0, end=30.0)
         per_packet = run(1)
         batched = run(4)
